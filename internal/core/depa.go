@@ -34,9 +34,10 @@ package core
 // Representation: the bit string is MSB-first inside 64-bit words. Full
 // words live in an immutable, structurally shared linked spine (chunks
 // point toward the root), the last partial word is a private scalar.
-// Fork copies the five-word struct and flips one bit; Compare walks the
-// two spines only across their divergence, converging on a shared chunk
-// pointer at the nearest common ancestor — O(divergence/64) words.
+// Fork copies the five-word struct and flips one bit; Compare aligns the
+// two spines by word count and walks them in place only across their
+// divergence, converging on a shared chunk pointer at the nearest common
+// ancestor — O(divergence/64) words, with no allocation.
 
 // DepaLabel is a fork-path timestamp. The zero value is invalid (no
 // position); RootDepaLabel and Fork produce valid labels.
@@ -107,7 +108,8 @@ func (l *DepaLabel) Fork() DepaLabel {
 
 // Compare orders two valid labels: -1 when l is left of o (earlier in
 // serial depth-first order), +1 when right, 0 only for identical
-// labels.
+// labels. It allocates nothing and walks only the chunks past the two
+// spines' shared suffix.
 func (l DepaLabel) Compare(o DepaLabel) int {
 	if l.anchor != o.anchor {
 		if l.anchor < o.anchor {
@@ -120,56 +122,58 @@ func (l DepaLabel) Compare(o DepaLabel) int {
 		// the partial words differ.
 		return cmpBits(l.word, uint32(l.nbits), o.word, uint32(o.nbits))
 	}
-	// Collect the chunks past the shared suffix, newest first. Chunks
-	// are created once and shared by every descendant, so two labels
-	// with the same anchor converge on pointer-identical chunks at
-	// their common ancestor (possibly nil at the root).
+	// Align the spines by word count. The longer spine's chunks past
+	// the shorter's count have no partner; keep the root-most of them,
+	// the word that sits against the shorter label's partial word.
 	sa, sb := l.spine, o.spine
-	var da, db []*depaChunk
-	for depaWords(sa) > depaWords(sb) {
-		da = append(da, sa)
-		sa = sa.prev
+	na, nb := depaWords(sa), depaWords(sb)
+	var extra *depaChunk
+	for w := na; w > nb; w-- {
+		extra, sa = sa, sa.prev
 	}
-	for depaWords(sb) > depaWords(sa) {
-		db = append(db, sb)
-		sb = sb.prev
+	for w := nb; w > na; w-- {
+		extra, sb = sb, sb.prev
 	}
+	// Walk the aligned pairs toward the shared chunk. Chunks are created
+	// once and shared by every descendant, so two labels with the same
+	// anchor converge on pointer-identical chunks at their common
+	// ancestor (possibly nil at the root). The root-most differing pair
+	// holds the first differing bit.
+	var da, db uint64
 	for sa != sb {
-		da = append(da, sa)
-		sa = sa.prev
-		db = append(db, sb)
-		sb = sb.prev
-	}
-	// Compare the divergent words root-first, each stream ending with
-	// its partial word. A missing word reads as length 0, which cmpBits
-	// resolves via the prefix rule.
-	steps := len(da)
-	if len(db) > steps {
-		steps = len(db)
-	}
-	for k := 0; k <= steps; k++ {
-		wa, la := streamWord(da, k, l.word, uint32(l.nbits))
-		wb, lb := streamWord(db, k, o.word, uint32(o.nbits))
-		if c := cmpBits(wa, la, wb, lb); c != 0 {
-			return c
+		if sa.bits != sb.bits {
+			da, db = sa.bits, sb.bits
 		}
-		if la < 64 || lb < 64 {
-			return 0 // a stream ended and everything matched: identical
+		sa, sb = sa.prev, sb.prev
+	}
+	if da != db {
+		if da < db {
+			return -1
 		}
+		return 1
+	}
+	// Every aligned word matches: compare the next word of each string.
+	var c int
+	switch {
+	case na > nb:
+		c = cmpBits(extra.bits, 64, o.word, uint32(o.nbits))
+	case na < nb:
+		c = cmpBits(l.word, uint32(l.nbits), extra.bits, 64)
+	default:
+		c = cmpBits(l.word, uint32(l.nbits), o.word, uint32(o.nbits))
+	}
+	if c != 0 {
+		return c
+	}
+	// One string is a prefix of the other: the longer is the
+	// descendant and orders left.
+	switch dl, do := l.Depth(), o.Depth(); {
+	case dl > do:
+		return -1
+	case dl < do:
+		return 1
 	}
 	return 0
-}
-
-// streamWord yields word k (root-first) of a divergent chunk list
-// followed by the label's partial word; past the end it reads as empty.
-func streamWord(chunks []*depaChunk, k int, tail uint64, tailBits uint32) (uint64, uint32) {
-	if k < len(chunks) {
-		return chunks[len(chunks)-1-k].bits, 64
-	}
-	if k == len(chunks) {
-		return tail, tailBits
-	}
-	return 0, 0
 }
 
 // cmpBits compares two MSB-first bit strings of up to 64 bits. On a

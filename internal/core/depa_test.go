@@ -221,3 +221,192 @@ func TestDepaForkSelfRoots(t *testing.T) {
 		t.Fatal("self-rooted child not left of the root position")
 	}
 }
+
+// oracleLabel is a naive bit-string model of a DepaLabel: one bool per
+// fork bit, root first.
+type oracleLabel struct {
+	anchor int64
+	bits   []bool
+}
+
+// fork mirrors DepaLabel.Fork: the child gets a 0-bit, the receiver a
+// 1-bit. Bit slices are copied so every snapshot stays immutable.
+func (o *oracleLabel) fork() oracleLabel {
+	child := oracleLabel{anchor: o.anchor, bits: append(append([]bool(nil), o.bits...), false)}
+	o.bits = append(append([]bool(nil), o.bits...), true)
+	return child
+}
+
+// compare is the comparison rule spelled out: anchor, then the first
+// differing bit, then the longer string (the descendant) is left.
+func (o oracleLabel) compare(p oracleLabel) int {
+	if o.anchor != p.anchor {
+		if o.anchor < p.anchor {
+			return -1
+		}
+		return 1
+	}
+	for i := 0; i < len(o.bits) && i < len(p.bits); i++ {
+		if o.bits[i] != p.bits[i] {
+			if !o.bits[i] {
+				return -1
+			}
+			return 1
+		}
+	}
+	switch {
+	case len(o.bits) > len(p.bits):
+		return -1
+	case len(o.bits) < len(p.bits):
+		return 1
+	}
+	return 0
+}
+
+// pairedLineage forks a DepaLabel and its oracle in lock step.
+type pairedLineage struct {
+	l DepaLabel
+	o oracleLabel
+}
+
+// oracleTree grows a random fork tree from root in branches: each branch
+// starts at a random existing lineage and walks up to 400 forks, at each
+// one either staying on its lineage (a 1-bit) or descending into the
+// child it just forked (a 0-bit). Branches thus carry random bits and
+// diverge from each other at every depth, often chunks back from their
+// tips. Every child and every continuation snapshot is recorded, so the
+// result holds a lineage's snapshots at all depths, including ones taken
+// with a full partial word (nbits == 64).
+func oracleTree(rng *rand.Rand, root pairedLineage, n int) []pairedLineage {
+	lineages := []*pairedLineage{&root}
+	out := []pairedLineage{root}
+	for len(out) < n {
+		p := lineages[rng.Intn(len(lineages))]
+		for steps := rng.Intn(400); steps > 0 && len(out) < n; steps-- {
+			c := pairedLineage{l: p.l.Fork(), o: p.o.fork()}
+			out = append(out, c, *p)
+			lineages = append(lineages, &c)
+			if rng.Intn(2) == 0 {
+				p = &c
+			}
+		}
+	}
+	return out
+}
+
+// TestDepaCompareMatchesOracle: Compare agrees with the []bool oracle on
+// near and random pairs of labels from random fork trees more than 64·8
+// bits deep. Each seed grows the tree twice from independent roots, so
+// across the two copies chunk pointers differ while bits are equal.
+func TestDepaCompareMatchesOracle(t *testing.T) {
+	for seed := int64(1); seed <= 2; seed++ {
+		var labels []pairedLineage
+		for twin := 0; twin < 2; twin++ {
+			rng := rand.New(rand.NewSource(seed))
+			labels = append(labels, oracleTree(rng, pairedLineage{l: RootDepaLabel()}, 4000)...)
+		}
+		maxDepth, full := 0, 0
+		for _, p := range labels {
+			if p.l.Depth() != len(p.o.bits) {
+				t.Fatalf("seed %d: Depth %d, oracle has %d bits", seed, p.l.Depth(), len(p.o.bits))
+			}
+			if p.l.Depth() > maxDepth {
+				maxDepth = p.l.Depth()
+			}
+			if p.l.nbits == 64 {
+				full++
+			}
+		}
+		if maxDepth <= 64*8 || full == 0 {
+			t.Fatalf("seed %d: tree too shallow (max depth %d, %d full-word labels)", seed, maxDepth, full)
+		}
+		check := func(i, j int) {
+			if got, want := labels[i].l.Compare(labels[j].l), labels[i].o.compare(labels[j].o); got != want {
+				t.Fatalf("seed %d: Compare(%d, %d) = %d, oracle %d (depths %d, %d)",
+					seed, i, j, got, want, labels[i].l.Depth(), labels[j].l.Depth())
+			}
+		}
+		// Near pairs (a child, its parent's snapshot, their neighbours,
+		// and each label's twin) plus random pairs across both trees.
+		half := len(labels) / 2
+		for i := range labels {
+			for j := max(0, i-4); j <= min(len(labels)-1, i+4); j++ {
+				check(i, j)
+			}
+			check(i, (i+half)%len(labels))
+		}
+		rng := rand.New(rand.NewSource(-seed))
+		for k := 0; k < 100000; k++ {
+			check(rng.Intn(len(labels)), rng.Intn(len(labels)))
+		}
+	}
+}
+
+// TestDepaCompareFullWordSnapshot: a snapshot taken when the partial
+// word is exactly full (nbits == 64) is a prefix of its own later
+// extension, whose spine gained that word as a chunk; the extension is
+// left of it, and a chunk-pointer-distinct copy of the same bits
+// compares equal.
+func TestDepaCompareFullWordSnapshot(t *testing.T) {
+	l, twin := RootDepaLabel(), RootDepaLabel()
+	o := oracleLabel{}
+	for i := 0; i < 64*3; i++ {
+		l.Fork()
+		twin.Fork()
+		o.fork()
+	}
+	if l.nbits != 64 {
+		t.Fatalf("nbits = %d after %d forks, want 64", l.nbits, 64*3)
+	}
+	snap, osnap := l, o
+	for i := 0; i < 70; i++ {
+		kid, okid := l.Fork(), o.fork()
+		for _, c := range []struct {
+			a, b   DepaLabel
+			oa, ob oracleLabel
+		}{
+			{l, snap, o, osnap},
+			{kid, snap, okid, osnap},
+			{kid, twin, okid, osnap},
+			{twin, snap, osnap, osnap},
+		} {
+			if got, want := c.a.Compare(c.b), c.oa.compare(c.ob); got != want {
+				t.Fatalf("fork %d: Compare = %d, oracle %d", i, got, want)
+			}
+			if got, want := c.b.Compare(c.a), c.ob.compare(c.oa); got != want {
+				t.Fatalf("fork %d: reversed Compare = %d, oracle %d", i, got, want)
+			}
+		}
+	}
+}
+
+var depaCompareSink int
+
+// TestDepaCompareAllocFree: Compare allocates nothing, including on
+// labels with different spines that diverge more than ten chunks back.
+func TestDepaCompareAllocFree(t *testing.T) {
+	base := RootDepaLabel()
+	for i := 0; i < 64*3+5; i++ {
+		base.Fork()
+	}
+	a := base
+	b := a.Fork()
+	for i := 0; i < 64*11+7; i++ {
+		a.Fork()
+	}
+	for i := 0; i < 64*13+29; i++ {
+		b.Fork()
+	}
+	if a.spine == b.spine || a.spine.words-base.spine.words <= 10 || b.spine.words-base.spine.words <= 10 {
+		t.Fatalf("labels do not diverge more than 10 chunks back")
+	}
+	pairs := [][2]DepaLabel{{a, b}, {b, a}, {a, base}, {base, b}, {a, a}}
+	for _, p := range pairs {
+		if n := testing.AllocsPerRun(100, func() { depaCompareSink = p[0].Compare(p[1]) }); n != 0 {
+			t.Fatalf("Compare allocated %.1f times per run", n)
+		}
+	}
+	if a.Compare(b) != 1 || b.Compare(a) != -1 || a.Compare(base) != -1 {
+		t.Fatalf("alloc-test labels misordered")
+	}
+}

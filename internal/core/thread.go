@@ -65,7 +65,8 @@ type Thread struct {
 	// Order is the thread's DePa fork-path label, assigned at fork time
 	// on the forking thread's own context (no lock, no shared
 	// structure). It evolves as the thread forks — each fork appends a
-	// continuation bit — so policies snapshot it at insert time.
+	// continuation bit — so policies copy it into the thread's
+	// placeholder at insert time and refresh the copy on each fork.
 	Order DepaLabel
 
 	m    *Machine

@@ -89,6 +89,11 @@ func (d *diffADF) fork(parentID int64, pri int) {
 		// The machine preempts the parent and runs the child immediately.
 		p.OnReady(d.mirr[i][parentID], 0)
 	}
+	// The DePa store refreshes the parent's placeholder to its current
+	// label on every fork (cross-priority forks leave both unchanged).
+	if parent := d.mirr[0][parentID]; parent.SchedState.(*depaEntry).label != parent.Order {
+		d.t.Fatalf("fork: parent %d placeholder label differs from its current label", parentID)
+	}
 	d.moveRunning(parentID, &d.ready)
 	d.running = append(d.running, id)
 	d.check("fork")

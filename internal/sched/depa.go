@@ -13,7 +13,7 @@ import "spthreads/internal/core"
 // The store then only has to answer "leftmost READY entry", which it
 // does with an indexed binary min-heap over the ready set:
 //
-//	insertHead / insertBefore   O(1)        (label snapshot + list link)
+//	insertHead / insertBefore   O(1)        (label copy + list link)
 //	remove                      O(1)        (O(log r) if still ready)
 //	setReady                    O(log r)    (heap push / indexed delete)
 //	takeLeftmostReady           O(log r)    (heap pop)
@@ -25,12 +25,18 @@ import "spthreads/internal/core"
 // treap's O(log n) descent comes from; `ptbench dispatch` measures
 // exactly this regime.
 //
-// Entries snapshot the thread's label at insert time. The thread's own
-// label keeps evolving (each fork appends a continuation bit), but an
-// extension orders immediately left of its snapshot and right of every
-// previously forked child, so the snapshot order is at all times
-// identical to the linked list the seed maintained: this is pinned by
-// the three-way differential suite in depa_diff_test.go.
+// Entries hold a copy of the thread's label, refreshed on every fork.
+// The thread's own label keeps evolving (each fork appends a
+// continuation bit); insertBefore checks the new child against the
+// parent's entry and then replaces the entry's label with the parent's
+// current one. The replacement keeps the entry's rank: the current
+// label extends the old copy, and every live entry that also extends
+// it is an earlier child, already left of both. So a heap-resident
+// entry stays validly placed, the entry order is at all times the
+// linked list the seed maintained (pinned by the three-way differential
+// suite in depa_diff_test.go), and each fork's check compares a child
+// with its immediate continuation — O(1) however many forks the parent
+// has made.
 type adfDepa struct {
 	anchor int64        // next head-insert anchor; decreasing so newer head inserts land leftmost
 	heap   []*depaEntry // indexed binary min-heap over ready entries
@@ -86,6 +92,7 @@ func (s *adfDepa) insertBefore(child, parent *core.Thread) {
 	if child.Order.Compare(pe.label) >= 0 {
 		panic("sched: depa child label not left of parent placeholder")
 	}
+	pe.label = parent.Order // same rank; see the type comment
 	s.add(child, child.Order)
 }
 

@@ -211,6 +211,7 @@ func (p *shardPolicy) insertBefore(child, parent *core.Thread) {
 	if child.Order.Compare(pe.label) >= 0 {
 		panic("sched: shard child label not left of parent placeholder")
 	}
+	pe.label = parent.Order // same rank (cf. adfDepa)
 	p.add(child, child.Order)
 }
 

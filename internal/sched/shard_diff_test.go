@@ -27,13 +27,17 @@ import (
 
 // diffShard drives the sharded policy, optionally next to the adf
 // oracle. Threads are mirrored per side because each policy owns
-// Thread.SchedState and Thread.Order.
+// Thread.SchedState and Thread.Order. The adf-ref list rides along as
+// the left-of oracle; it sees only creates and exits, the two events
+// that place and remove placeholders.
 type diffShard struct {
 	t     *testing.T
 	sh    *shardPolicy
 	adf   *adfPolicy // nil when not comparing dispatch choices
+	ref   *adfPolicy
 	smirr map[int64]*core.Thread
 	amirr map[int64]*core.Thread
+	rmirr map[int64]*core.Thread
 
 	nextID  int64
 	running []int64
@@ -46,7 +50,9 @@ func newDiffShard(t *testing.T, procs, window int, strict, withOracle bool) *dif
 	d := &diffShard{
 		t:     t,
 		sh:    newShard(procs, window, strict, DefaultMemQuota, false),
+		ref:   NewADFReference(DefaultMemQuota, false).(*adfPolicy),
 		smirr: make(map[int64]*core.Thread),
+		rmirr: make(map[int64]*core.Thread),
 		procs: procs,
 	}
 	if withOracle {
@@ -56,20 +62,22 @@ func newDiffShard(t *testing.T, procs, window int, strict, withOracle bool) *dif
 	return d
 }
 
-func (d *diffShard) mirror(id int64, pri int) (s, a *core.Thread) {
+func (d *diffShard) mirror(id int64, pri int) (s, a, r *core.Thread) {
 	s = &core.Thread{ID: id, Priority: pri}
 	d.smirr[id] = s
 	if d.adf != nil {
 		a = &core.Thread{ID: id, Priority: pri}
 		d.amirr[id] = a
 	}
-	return s, a
+	r = &core.Thread{ID: id, Priority: pri}
+	d.rmirr[id] = r
+	return s, a, r
 }
 
 func (d *diffShard) fork(parentID int64, pri, pid int) {
 	d.nextID++
 	id := d.nextID
-	st, at := d.mirror(id, pri)
+	st, at, rt := d.mirror(id, pri)
 	if parentID < 0 {
 		if d.sh.OnCreate(nil, st) {
 			d.t.Fatal("shard: root OnCreate ran child, want false")
@@ -77,6 +85,7 @@ func (d *diffShard) fork(parentID int64, pri, pid int) {
 		if d.adf != nil {
 			d.adf.OnCreate(nil, at)
 		}
+		d.ref.OnCreate(nil, rt)
 		d.ready = append(d.ready, id)
 		d.check("root create")
 		return
@@ -88,6 +97,12 @@ func (d *diffShard) fork(parentID int64, pri, pid int) {
 	if d.adf != nil {
 		d.adf.OnCreate(d.amirr[parentID], at)
 		d.adf.OnReady(d.amirr[parentID], pid)
+	}
+	d.ref.OnCreate(d.rmirr[parentID], rt)
+	// The parent's placeholder is refreshed to its current label on
+	// every fork (cross-priority forks leave both unchanged).
+	if parent := d.smirr[parentID]; parent.SchedState.(*shardEntry).label != parent.Order {
+		d.t.Fatalf("fork: parent %d placeholder label differs from its current label", parentID)
 	}
 	d.moveRunning(parentID, &d.ready)
 	d.running = append(d.running, id)
@@ -184,6 +199,8 @@ func (d *diffShard) exit(id int64) {
 		d.adf.OnExit(d.amirr[id])
 		delete(d.amirr, id)
 	}
+	d.ref.OnExit(d.rmirr[id])
+	delete(d.rmirr, id)
 	d.removeID(&d.running, id)
 	d.check("exit")
 }
@@ -235,6 +252,34 @@ func (d *diffShard) check(op string) {
 		}
 		if a, s := d.adf.Live(), d.sh.Live(); a != s {
 			d.t.Fatalf("%s: Live adf=%d shard=%d", op, a, s)
+		}
+	}
+}
+
+// checkPairwise asserts, for every pair of placeholders in every
+// priority level, that the shard labels' left-of answer matches the
+// pair's order in the adf-ref list. Quadratic — callers apply it
+// periodically.
+func (d *diffShard) checkPairwise(op string) {
+	d.t.Helper()
+	for pri := 0; pri < core.NumPriorities; pri++ {
+		var ids []int64
+		for e := d.ref.levels[pri].(*adfChain).head; e != nil; e = e.next {
+			ids = append(ids, e.t.ID)
+		}
+		for i := 0; i < len(ids); i++ {
+			li := d.smirr[ids[i]].SchedState.(*shardEntry).label
+			for j := i + 1; j < len(ids); j++ {
+				lj := d.smirr[ids[j]].SchedState.(*shardEntry).label
+				if c := li.Compare(lj); c != -1 {
+					d.t.Fatalf("%s: level %d: shard Compare(id %d, id %d) = %d; list order says -1",
+						op, pri, ids[i], ids[j], c)
+				}
+				if c := lj.Compare(li); c != 1 {
+					d.t.Fatalf("%s: level %d: shard Compare(id %d, id %d) = %d; list order says 1",
+						op, pri, ids[j], ids[i], c)
+				}
+			}
 		}
 	}
 }
@@ -305,10 +350,14 @@ func (d *diffShard) runRandom(seed int64, ops int) {
 	d.dispatch(0)
 	for op := 0; op < ops; op++ {
 		d.step(byte(rng.Intn(256)), byte(rng.Intn(256)), byte(rng.Intn(256)))
+		if op%20 == 0 {
+			d.checkPairwise("periodic")
+		}
 		if d.t.Failed() {
 			d.t.Fatalf("seed %d failed at op %d", seed, op)
 		}
 	}
+	d.checkPairwise("final")
 	d.drain(0)
 }
 
@@ -388,7 +437,11 @@ func FuzzShardSteal(f *testing.F) {
 			d.dispatch(0)
 			for i := 0; i+2 < len(data) && i < 3*4096; i += 3 {
 				d.step(data[i], data[i+1], data[i+2])
+				if i%(3*16) == 0 {
+					d.checkPairwise("fuzz")
+				}
 			}
+			d.checkPairwise("fuzz-final")
 			d.drain(0)
 		}
 	})
