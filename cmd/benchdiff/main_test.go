@@ -553,33 +553,66 @@ func TestLockWaitVsGlobalCeiling(t *testing.T) {
 	}
 }
 
-// tunedBench builds a native-tuned style file: a reference-engine and a
-// tuned-engine row of the same bench, the tuned row carrying its best
-// wall time as a percentage of the reference arm's.
-func tunedBench(refMS, tunedMS, vsRefPct float64, repeat int) string {
+// legacyTunedBench builds a BENCH_10-shaped file: two native rows of
+// the same configuration, one per former engine, which now share a key.
+func legacyTunedBench(refMS, tunedMS float64, repeat int) string {
 	return fmt.Sprintf(`{
   "experiment": "native-tuned",
   "runs": [
     {"policy": "adf", "procs": 4, "bench": "matmul", "backend": "native",
      "engine": "reference", "wall_ms": %g, "repeat": %d},
     {"policy": "adf", "procs": 4, "bench": "matmul", "backend": "native",
-     "engine": "tuned", "wall_ms": %g, "repeat": %d, "wall_vs_reference_pct": %g}
+     "engine": "tuned", "wall_ms": %g, "repeat": %d, "wall_vs_reference_pct": 90}
   ]
-}`, refMS, repeat, tunedMS, repeat, vsRefPct)
+}`, refMS, repeat, tunedMS, repeat)
 }
 
-// TestEngineRowsDistinctKeys: reference and tuned rows of the same
-// configuration are separate runs keyed by engine, not a collision.
-func TestEngineRowsDistinctKeys(t *testing.T) {
-	var out, errb bytes.Buffer
-	code := run([]string{"-threshold", "10",
-		writeJSON(t, "old.json", tunedBench(100, 90, 90, 9)),
-		writeJSON(t, "new.json", tunedBench(100, 90, 90, 9))}, &out, &errb)
-	if code != 0 {
-		t.Fatalf("run = %d, want 0\nstdout: %s\nstderr: %s", code, out.String(), errb.String())
+// wallBench builds a fresh native-tuned file: one native row.
+func wallBench(ms float64, repeat int) string {
+	return fmt.Sprintf(`{
+  "experiment": "native-tuned",
+  "runs": [
+    {"policy": "adf", "procs": 4, "bench": "matmul", "backend": "native",
+     "wall_ms": %g, "repeat": %d}
+  ]
+}`, ms, repeat)
+}
+
+// TestBestOldRowPerMetric: several old rows under one key are one
+// baseline, compared per metric against its best value — the lowest
+// for lower-is-better metrics, the highest for higher-is-better ones —
+// and never reported as unmatched.
+func TestBestOldRowPerMetric(t *testing.T) {
+	speed := func(vs ...float64) string {
+		var rows []string
+		for _, v := range vs {
+			rows = append(rows, fmt.Sprintf(`{"policy": "adf", "procs": 8, "speedup": %g}`, v))
+		}
+		return `{"experiment": "fig1", "runs": [` + strings.Join(rows, ",") + `]}`
 	}
-	if strings.Contains(out.String(), "only in") {
-		t.Errorf("engine rows collided or went unmatched:\n%s", out.String())
+	for _, tc := range []struct {
+		name, metric, threshold, old, new string
+		want                              int
+	}{
+		// 120 ms is +20% over the worse old row (100), inside a 25%
+		// budget, but +33% over the best (90): a regression in either
+		// row order.
+		{"wall best last", "wall_ms", "25", legacyTunedBench(100, 90, 9), wallBench(120, 9), 1},
+		{"wall best first", "wall_ms", "25", legacyTunedBench(90, 100, 9), wallBench(120, 9), 1},
+		{"wall within budget", "wall_ms", "25", legacyTunedBench(100, 90, 9), wallBench(110, 9), 0},
+		// Higher-is-better: 3.5 is 12.5% below the best old speedup 4.
+		{"speedup best last", "speedup", "10", speed(3, 4), speed(3.5), 1},
+		{"speedup best first", "speedup", "10", speed(4, 3), speed(3.5), 1},
+	} {
+		var out, errb bytes.Buffer
+		code := run([]string{"-threshold", tc.threshold, "-metric", tc.metric,
+			writeJSON(t, "old.json", tc.old), writeJSON(t, "new.json", tc.new)}, &out, &errb)
+		if code != tc.want {
+			t.Errorf("%s: run = %d, want %d\nstdout: %s", tc.name, code, tc.want, out.String())
+		}
+		if strings.Contains(out.String(), "only in") {
+			t.Errorf("%s: duplicate old rows reported as unmatched:\n%s", tc.name, out.String())
+		}
 	}
 }
 
@@ -589,8 +622,8 @@ func TestEngineRowsDistinctKeys(t *testing.T) {
 func TestWallMSDefaultNotGated(t *testing.T) {
 	var out, errb bytes.Buffer
 	code := run([]string{"-threshold", "10",
-		writeJSON(t, "old.json", tunedBench(100, 90, 90, 9)),
-		writeJSON(t, "new.json", tunedBench(300, 280, 93, 9))}, &out, &errb)
+		writeJSON(t, "old.json", legacyTunedBench(100, 90, 9)),
+		writeJSON(t, "new.json", wallBench(300, 9))}, &out, &errb)
 	if code != 0 {
 		t.Fatalf("run = %d, want 0 (wall_ms not explicitly selected)\nstdout: %s", code, out.String())
 	}
@@ -605,21 +638,21 @@ func TestWallMSDefaultNotGated(t *testing.T) {
 func TestWallMSExplicitGateOnNativeRows(t *testing.T) {
 	var out, errb bytes.Buffer
 	code := run([]string{"-threshold", "50", "-metric", "wall_ms",
-		writeJSON(t, "old.json", tunedBench(100, 90, 90, 9)),
-		writeJSON(t, "new.json", tunedBench(100, 250, 250, 9))}, &out, &errb)
+		writeJSON(t, "old.json", legacyTunedBench(100, 90, 9)),
+		writeJSON(t, "new.json", wallBench(250, 9))}, &out, &errb)
 	if code != 1 {
-		t.Fatalf("run = %d, want 1 (tuned wall grew 178%% past a 50%% budget)\nstdout: %s", code, out.String())
+		t.Fatalf("run = %d, want 1 (native wall grew 178%% past a 50%% budget)\nstdout: %s", code, out.String())
 	}
-	if !strings.Contains(out.String(), "REGRESSION") || !strings.Contains(out.String(), "|tuned") {
-		t.Errorf("regression not keyed to the tuned engine row:\n%s", out.String())
+	if !strings.Contains(out.String(), "REGRESSION") || !strings.Contains(out.String(), "|native") {
+		t.Errorf("regression not keyed to the native row:\n%s", out.String())
 	}
 
 	// Within budget: passes.
 	out.Reset()
 	errb.Reset()
 	code = run([]string{"-threshold", "50", "-metric", "wall_ms",
-		writeJSON(t, "old.json", tunedBench(100, 90, 90, 9)),
-		writeJSON(t, "new.json", tunedBench(110, 100, 91, 9))}, &out, &errb)
+		writeJSON(t, "old.json", legacyTunedBench(100, 90, 9)),
+		writeJSON(t, "new.json", wallBench(100, 9))}, &out, &errb)
 	if code != 0 {
 		t.Fatalf("run = %d, want 0 (10%% drift under a 50%% budget)\nstdout: %s\nstderr: %s",
 			code, out.String(), errb.String())
@@ -633,8 +666,8 @@ func TestWallMSGateNeedsRepeats(t *testing.T) {
 	for _, tc := range []struct{ oldRep, newRep int }{{1, 9}, {9, 1}, {3, 3}} {
 		var out, errb bytes.Buffer
 		code := run([]string{"-threshold", "50", "-metric", "wall_ms",
-			writeJSON(t, "old.json", tunedBench(100, 90, 90, tc.oldRep)),
-			writeJSON(t, "new.json", tunedBench(100, 250, 250, tc.newRep))}, &out, &errb)
+			writeJSON(t, "old.json", legacyTunedBench(100, 90, tc.oldRep)),
+			writeJSON(t, "new.json", wallBench(250, tc.newRep))}, &out, &errb)
 		if code != 0 {
 			t.Errorf("repeat %d->%d: run = %d, want 0 (below the repeat floor)\nstdout: %s",
 				tc.oldRep, tc.newRep, code, out.String())
@@ -650,72 +683,36 @@ func TestWallMSZeroToNonzero(t *testing.T) {
   "experiment": "native-tuned",
   "runs": [
     {"policy": "adf", "procs": 4, "bench": "matmul", "backend": "native",
-     "engine": "tuned", "repeat": 9}
+     "repeat": 9}
   ]
 }`
 	var out, errb bytes.Buffer
 	code := run([]string{"-threshold", "50", "-metric", "wall_ms",
 		writeJSON(t, "old.json", oldB),
-		writeJSON(t, "new.json", tunedBench(100, 90, 90, 9))}, &out, &errb)
+		writeJSON(t, "new.json", wallBench(90, 9))}, &out, &errb)
 	if code != 0 {
 		t.Fatalf("run = %d, want 0 (old row has no wall_ms to compare)\nstdout: %s", code, out.String())
 	}
 }
 
-// TestWallMSMissingPair: a tuned row with no old-file counterpart is
-// reported as unmatched, never gated.
+// TestWallMSMissingPair: a row with no old-file counterpart is reported
+// as unmatched, never gated.
 func TestWallMSMissingPair(t *testing.T) {
 	oldB := `{
   "experiment": "native-tuned",
   "runs": [
-    {"policy": "adf", "procs": 4, "bench": "matmul", "backend": "native",
-     "engine": "reference", "wall_ms": 100, "repeat": 9}
+    {"policy": "adf", "procs": 8, "bench": "matmul", "backend": "native",
+     "wall_ms": 100, "repeat": 9}
   ]
 }`
 	var out, errb bytes.Buffer
 	code := run([]string{"-threshold", "50", "-metric", "wall_ms",
 		writeJSON(t, "old.json", oldB),
-		writeJSON(t, "new.json", tunedBench(100, 250, 250, 9))}, &out, &errb)
+		writeJSON(t, "new.json", wallBench(250, 9))}, &out, &errb)
 	if code != 0 {
-		t.Fatalf("run = %d, want 0 (tuned row unmatched)\nstdout: %s", code, out.String())
+		t.Fatalf("run = %d, want 0 (row unmatched)\nstdout: %s", code, out.String())
 	}
 	if !strings.Contains(out.String(), "only in") {
-		t.Errorf("unmatched tuned row not reported:\n%s", out.String())
-	}
-}
-
-// TestWallVsRefCeiling: -max wall_vs_reference_pct bounds how much
-// slower than the reference engine the tuned engine may run; relative
-// deltas between two files stay report-only.
-func TestWallVsRefCeiling(t *testing.T) {
-	var out, errb bytes.Buffer
-	code := run([]string{"-threshold", "10",
-		writeJSON(t, "old.json", tunedBench(100, 90, 90, 9)),
-		writeJSON(t, "new.json", tunedBench(100, 98, 98, 9))}, &out, &errb)
-	if code != 0 {
-		t.Fatalf("run = %d, want 0 (vs-ref relative delta is report-only)\nstdout: %s\nstderr: %s",
-			code, out.String(), errb.String())
-	}
-
-	out.Reset()
-	errb.Reset()
-	code = run([]string{"-max", "wall_vs_reference_pct=105",
-		writeJSON(t, "old.json", tunedBench(100, 90, 90, 9)),
-		writeJSON(t, "new.json", tunedBench(100, 112, 112, 9))}, &out, &errb)
-	if code != 1 {
-		t.Fatalf("run = %d, want 1 (112%% over a 105%% ceiling)\nstdout: %s", code, out.String())
-	}
-	if !strings.Contains(out.String(), "wall_vs_reference_pct") || !strings.Contains(out.String(), "EXCEEDED") {
-		t.Errorf("ceiling violation not named:\n%s", out.String())
-	}
-
-	out.Reset()
-	errb.Reset()
-	code = run([]string{"-max", "wall_vs_reference_pct=105",
-		writeJSON(t, "old.json", tunedBench(100, 98, 98, 9)),
-		writeJSON(t, "new.json", tunedBench(100, 98, 98, 9))}, &out, &errb)
-	if code != 0 {
-		t.Fatalf("run = %d, want 0 (98%% under a 105%% ceiling; reference rows carry no ratio)\nstdout: %s",
-			code, out.String())
+		t.Errorf("unmatched row not reported:\n%s", out.String())
 	}
 }

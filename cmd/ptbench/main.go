@@ -15,7 +15,7 @@
 // previous treap store) and "adf-ref" (the naive linked-list seed)
 // alongside the default DePa-labeled "adf". The contention-sharded
 // experiment sweeps the sharded variant "adf-shard" (per-worker label
-// heaps with bounded-deviation stealing, Config.SchedShard) against
+// heaps with bounded-deviation stealing, Policy adf-shard) against
 // the batched global baseline at p up to 1024.
 package main
 
@@ -29,14 +29,12 @@ import (
 	"time"
 
 	"spthreads/internal/harness"
-	"spthreads/pthread"
 )
 
 func main() {
 	scale := flag.String("scale", "paper", "problem scale: small or paper")
 	procsFlag := flag.String("procs", "", "comma-separated processor counts to sweep (default per experiment)")
 	backend := flag.String("backend", "", "execution backend for the backends experiment: sim, native, or both (default both)")
-	engine := flag.String("engine", "", "native execution engine for single-engine native rows: "+engineList()+" (default reference; the native-tuned experiment sweeps both)")
 	repeat := flag.Int("repeat", 1, "repetitions per wall-clock measurement; the median run is reported")
 	httpAddr := flag.String("http", "", "serve the live debug endpoint (/metrics, /statusz, /trace, /debug/pprof) at this address during live-observability runs")
 	jsonOut := flag.Bool("json", false, "also rerun each experiment with instruments attached and write BENCH_<id>.json")
@@ -64,11 +62,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "ptbench: -repeat must be at least 1\n")
 		os.Exit(2)
 	}
-	if *engine != "" && !validEngine(*engine) {
-		fmt.Fprintf(os.Stderr, "ptbench: bad -engine %q (want %s)\n", *engine, engineList())
-		os.Exit(2)
-	}
-	opt := harness.Options{Scale: *scale, Backend: *backend, Engine: *engine, Repeat: *repeat, HTTPAddr: *httpAddr}
+	opt := harness.Options{Scale: *scale, Backend: *backend, Repeat: *repeat, HTTPAddr: *httpAddr}
 	if *procsFlag != "" {
 		for _, f := range strings.Split(*procsFlag, ",") {
 			p, err := strconv.Atoi(strings.TrimSpace(f))
@@ -142,28 +136,6 @@ func listExperiments() {
 	for _, e := range harness.Experiments() {
 		fmt.Printf("%-11s %s\n            %s\n", e.ID, e.Title, e.What)
 	}
-}
-
-// validEngine reports whether name is a registered native engine.
-func validEngine(name string) bool {
-	for _, e := range pthread.Engines() {
-		if string(e) == name {
-			return true
-		}
-	}
-	return false
-}
-
-// engineList renders the engine registry for usage text.
-func engineList() string {
-	var s string
-	for i, e := range pthread.Engines() {
-		if i > 0 {
-			s += " or "
-		}
-		s += string(e)
-	}
-	return s
 }
 
 // experimentIDs returns every registered experiment id, sorted.

@@ -83,14 +83,6 @@ type Backend interface {
 	NewOnce() Once
 }
 
-// Engined is implemented by backends with selectable execution
-// engines (the native backend's reference/tuned split). Engine reports
-// the resolved engine id for the run; backends without the seam (sim)
-// simply do not implement it.
-type Engined interface {
-	Engine() string
-}
-
 // Mutex is a blocking lock with FIFO handoff (pthread_mutex_t).
 type Mutex interface {
 	Lock(t Thread)

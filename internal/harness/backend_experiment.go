@@ -95,9 +95,6 @@ func runBackends(w io.Writer, opt Options) error {
 		for _, backend := range opt.backends() {
 			for _, p := range opt.procs(backendProcs) {
 				cfg := backendConfig(backend, p)
-				if backend == pthread.BackendNative {
-					cfg.Engine = pthread.Engine(opt.Engine)
-				}
 				st, ms := timedRun(cfg, b.prog, repeat)
 				virtual := "-"
 				if backend == pthread.BackendSim {
@@ -122,9 +119,6 @@ func jsonBackends(opt Options) (*BenchResult, error) {
 			for _, p := range opt.procs(backendProcs) {
 				cfg := backendConfig(backend, p)
 				cfg.Metrics = pthread.NewMetrics()
-				if backend == pthread.BackendNative {
-					cfg.Engine = pthread.Engine(opt.Engine)
-				}
 				st, ms := timedRun(cfg, b.prog, repeat)
 				row := statsRun(cfg.Policy, p, st)
 				row.Bench = b.name
@@ -135,7 +129,6 @@ func jsonBackends(opt Options) (*BenchResult, error) {
 					// Native virtual time is wall-derived and
 					// host-dependent; leave only the wall clock.
 					row.TimeCycles, row.TimeUS = 0, 0
-					row.Engine = opt.Engine
 				}
 				res.Runs = append(res.Runs, row)
 			}

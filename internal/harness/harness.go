@@ -28,11 +28,6 @@ type Options struct {
 	// paper-reproduction experiments are defined in deterministic
 	// virtual time and always run on the simulator.
 	Backend string
-	// Engine selects the native execution engine ("reference" or
-	// "tuned"; empty = reference) for experiments that run single-engine
-	// native rows. The native-tuned experiment sweeps both engines and
-	// ignores it.
-	Engine string
 	// Repeat is the repetition count for wall-clock measurements: each
 	// configuration runs Repeat times and the median-wall-time run is
 	// reported (default 1). Virtual-time results are deterministic and

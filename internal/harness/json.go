@@ -29,15 +29,6 @@ type BenchRun struct {
 	// Backend names the execution backend for the backend-comparison
 	// experiment ("sim" or "native"; empty rows are sim).
 	Backend string `json:"backend,omitempty"`
-	// Engine names the native execution engine for native rows
-	// ("reference" or "tuned"; empty native rows ran the reference
-	// engine). Part of the benchdiff run key, so engine rows diff only
-	// against rows of the same engine.
-	Engine string `json:"engine,omitempty"`
-	// WallVsRefPct is a tuned-engine row's best wall time as a
-	// percentage of the matching reference-engine row's best (100 =
-	// parity; host-dependent, bounded by benchdiff -max).
-	WallVsRefPct float64 `json:"wall_vs_reference_pct,omitempty"`
 	// Shard marks rows run with the sharded scheduler (per-worker
 	// DePa-label heaps with bounded-deviation stealing); StealWindow is
 	// its deviation bound K (0 on sharded rows means the default K=p).

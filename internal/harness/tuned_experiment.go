@@ -1,12 +1,10 @@
 package harness
 
-// The tuned-engine experiment: the same seven-benchmark matrix on the
-// native backend's reference and tuned engines, interleaved in
-// alternating pairs so host clock drift cannot bias either arm. The
-// tuned rows carry wall_vs_reference_pct — the tuned arm's best wall
-// time as a percentage of the reference arm's — which CI bounds with
-// benchdiff -max; the absolute wall times are host-dependent and
-// gated only by the generous wall_ms threshold.
+// The native-tuned experiment: the seven-benchmark matrix at fine
+// thread granularity on the native backend, reporting the median wall
+// time per program. It keeps the id under which BENCH_10.json
+// committed its baseline; the wall times are host-dependent and gated
+// only by the generous same-host wall_ms threshold.
 
 import (
 	"fmt"
@@ -28,25 +26,25 @@ import (
 func init() {
 	register(Experiment{
 		ID:    "native-tuned",
-		Title: "Tuned vs reference native engine, wall clock per program",
-		What:  "Engine tuning check (DESIGN 14): pooled lifecycles and batched accounting vs the reference lifecycle",
+		Title: tunedTitle,
+		What:  "Native thread-lifecycle cost (DESIGN 14): pooled loops and record arenas on fine-grained programs",
 		Run:   runNativeTuned,
 		JSON:  jsonNativeTuned,
 	})
 }
 
+const tunedTitle = "Native thread lifecycle, wall clock per fine-grained program"
+
 // tunedProcs is the default sweep: the acceptance point p=4. The
-// engines differ in per-fork and per-allocation constant factors, so
-// one contended processor count exposes the comparison; -procs widens
-// the sweep when wanted.
+// lifecycle's cost is a per-fork and per-allocation constant factor,
+// so one contended processor count exposes it; -procs widens the sweep
+// when wanted.
 var tunedProcs = []int{4}
 
-// tunedBenches is the engine-cost workload matrix: all seven paper
+// tunedBenches is the lifecycle-cost workload matrix: all seven paper
 // benchmarks, at deliberately finer thread granularity than the
-// scale's default sizes. The two engines differ only in per-thread and
-// per-allocation constant factors (goroutine + channel creation vs a
-// pooled loop, shared-atomic vs batched accounting), so the comparison
-// must drive those paths hard enough to rise above host noise — the
+// scale's default sizes. The measurement must drive the per-thread and
+// per-allocation paths hard enough to rise above host noise — the
 // fine-grained regime the paper's runtime exists to make cheap.
 // Compute sizes stay small; thread counts go up (each program forks
 // hundreds to tens of thousands of threads).
@@ -84,90 +82,46 @@ func tunedBenches(paper bool) []struct {
 	}
 }
 
-// tunedMeasurement is one repetition's outcome on one engine.
+// tunedMeasurement is one repetition's outcome.
 type tunedMeasurement struct {
 	st pthread.Stats
 	ms float64
 }
 
-// tunedPair is the reference/tuned comparison for one configuration:
-// the median repetition of each arm plus the min/min wall-time ratio.
-type tunedPair struct {
-	ref, tuned tunedMeasurement
-	// wallVsRefPct compares the minimum wall time of each arm (tuned as
-	// a percentage of reference, 100 = parity). Host noise is additive
-	// and one-sided — it only ever slows a run — so each arm's minimum
-	// is its least-perturbed observation and the min/min ratio converges
-	// on the true engine delta far faster than medians do.
-	wallVsRefPct float64
-}
-
-func tunedOnce(procs int, prog func(*pthread.T), engine pthread.Engine) tunedMeasurement {
+func tunedOnce(procs int, prog func(*pthread.T)) tunedMeasurement {
 	// Start every repetition from a collected heap so a GC cycle
-	// inherited from the previous arm cannot land inside this
-	// measurement and masquerade as an engine difference.
+	// inherited from the previous run cannot land inside this
+	// measurement.
 	runtime.GC()
 	cfg := backendConfig(pthread.BackendNative, procs)
-	cfg.Engine = engine
 	cfg.Metrics = pthread.NewMetrics()
 	start := time.Now()
 	st := run(cfg, prog)
 	return tunedMeasurement{st: st, ms: float64(time.Since(start).Nanoseconds()) / 1e6}
 }
 
-// tunedRun measures prog on both engines, repeat interleaved pairs.
-// Pairs alternate which engine runs first: drift (turbo decay, thermal
-// throttling) is roughly linear over consecutive runs, so always
-// measuring one arm second would bias its wall time.
-func tunedRun(procs int, prog func(*pthread.T), repeat int) tunedPair {
-	refs := make([]tunedMeasurement, 0, repeat)
-	tuneds := make([]tunedMeasurement, 0, repeat)
+// tunedRun measures prog repeat times and returns the median-wall-time
+// repetition.
+func tunedRun(procs int, prog func(*pthread.T), repeat int) tunedMeasurement {
+	runs := make([]tunedMeasurement, 0, repeat)
 	for i := 0; i < repeat; i++ {
-		if i%2 == 0 {
-			refs = append(refs, tunedOnce(procs, prog, pthread.EngineReference))
-			tuneds = append(tuneds, tunedOnce(procs, prog, pthread.EngineTuned))
-		} else {
-			tuneds = append(tuneds, tunedOnce(procs, prog, pthread.EngineTuned))
-			refs = append(refs, tunedOnce(procs, prog, pthread.EngineReference))
-		}
+		runs = append(runs, tunedOnce(procs, prog))
 	}
-	minMS := func(runs []tunedMeasurement) float64 {
-		m := runs[0].ms
-		for _, r := range runs[1:] {
-			if r.ms < m {
-				m = r.ms
-			}
-		}
-		return m
-	}
-	byMS := func(runs []tunedMeasurement) tunedMeasurement {
-		sort.Slice(runs, func(i, j int) bool { return runs[i].ms < runs[j].ms })
-		return runs[len(runs)/2]
-	}
-	p := tunedPair{ref: byMS(refs), tuned: byMS(tuneds)}
-	if lo := minMS(refs); lo > 0 {
-		p.wallVsRefPct = 100 * minMS(tuneds) / lo
-	}
-	return p
+	sort.Slice(runs, func(i, j int) bool { return runs[i].ms < runs[j].ms })
+	return runs[len(runs)/2]
 }
 
 func runNativeTuned(w io.Writer, opt Options) error {
 	repeat := opt.repeatCount()
 	fmt.Fprintf(w, "Native backend, ADF policy; wall clock is the median of %d run(s) per row.\n", repeat)
-	fmt.Fprintln(w, "vs-ref compares the tuned arm's best run against the reference arm's (100 = parity).")
 	fmt.Fprintln(w)
 	tb := newTable(w)
-	tb.row("bench", "procs", "engine", "wall ms", "threads", "peak KB", "vs-ref %")
+	tb.row("bench", "procs", "wall ms", "threads", "peak KB")
 	for _, b := range tunedBenches(opt.paper()) {
 		for _, p := range opt.procs(tunedProcs) {
-			pr := tunedRun(p, b.prog, repeat)
-			tb.row(b.name, p, string(pthread.EngineReference),
-				fmt.Sprintf("%.2f", pr.ref.ms), pr.ref.st.ThreadsCreated,
-				fmt.Sprintf("%.0f", float64(pr.ref.st.TotalHWM)/1024), "-")
-			tb.row(b.name, p, string(pthread.EngineTuned),
-				fmt.Sprintf("%.2f", pr.tuned.ms), pr.tuned.st.ThreadsCreated,
-				fmt.Sprintf("%.0f", float64(pr.tuned.st.TotalHWM)/1024),
-				fmt.Sprintf("%.1f", pr.wallVsRefPct))
+			m := tunedRun(p, b.prog, repeat)
+			tb.row(b.name, p, fmt.Sprintf("%.2f", m.ms), m.st.ThreadsCreated,
+				fmt.Sprintf("%.0f", float64(m.st.TotalHWM)/1024))
 		}
 	}
 	tb.flush()
@@ -176,27 +130,19 @@ func runNativeTuned(w io.Writer, opt Options) error {
 
 func jsonNativeTuned(opt Options) (*BenchResult, error) {
 	repeat := opt.repeatCount()
-	res := &BenchResult{Experiment: "native-tuned", Scale: scaleName(opt),
-		Title: "Tuned vs reference native engine, wall clock per program"}
+	res := &BenchResult{Experiment: "native-tuned", Scale: scaleName(opt), Title: tunedTitle}
 	for _, b := range tunedBenches(opt.paper()) {
 		for _, p := range opt.procs(tunedProcs) {
-			pr := tunedRun(p, b.prog, repeat)
-			engineRow := func(m tunedMeasurement, engine pthread.Engine) BenchRun {
-				row := statsRun(pthread.PolicyADF, p, m.st)
-				row.Bench = b.name
-				row.Backend = string(pthread.BackendNative)
-				row.Engine = string(engine)
-				row.WallMS = m.ms
-				row.Repeat = repeat
-				// Native virtual time is wall-derived and host-dependent;
-				// leave only the wall clock.
-				row.TimeCycles, row.TimeUS = 0, 0
-				return row
-			}
-			refRow := engineRow(pr.ref, pthread.EngineReference)
-			tunedRow := engineRow(pr.tuned, pthread.EngineTuned)
-			tunedRow.WallVsRefPct = pr.wallVsRefPct
-			res.Runs = append(res.Runs, refRow, tunedRow)
+			m := tunedRun(p, b.prog, repeat)
+			row := statsRun(pthread.PolicyADF, p, m.st)
+			row.Bench = b.name
+			row.Backend = string(pthread.BackendNative)
+			row.WallMS = m.ms
+			row.Repeat = repeat
+			// Native virtual time is wall-derived and host-dependent;
+			// leave only the wall clock.
+			row.TimeCycles, row.TimeUS = 0, 0
+			res.Runs = append(res.Runs, row)
 		}
 	}
 	return res, nil

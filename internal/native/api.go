@@ -2,6 +2,7 @@ package native
 
 import (
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"spthreads/internal/core"
@@ -19,21 +20,58 @@ func nt(t exec.Thread) *thread { return t.(*thread) }
 
 // Fork implements exec.Backend. Under policies with the paper's fork
 // semantics (OnCreate returns true) the parent is preempted and its
-// worker runs the child immediately.
+// worker runs the child immediately. The caller gets a handle, not the
+// record: see handle.
 func (b *Backend) Fork(pt exec.Thread, attr core.Attr, fn func(exec.Thread)) exec.Thread {
-	return b.fork(nt(pt), attr, fn, false)
+	h := &handle{detached: attr.Detached, name: attr.Name}
+	b.fork(nt(pt), attr, fn, h)
+	return h
 }
 
-// fork is Fork with the dummy marker settable before the child can run.
-func (b *Backend) fork(t *thread, attr core.Attr, fn func(exec.Thread), dummy bool) *thread {
+// handle is the caller's reference to a forked thread. Records are
+// recycled once their thread has exited and been joined (or exited, if
+// detached), but a caller may keep its handle indefinitely. The handle
+// therefore carries the identity the thread had at fork time, so ID
+// stays right and Join refuses a second join or a detached target
+// without touching a record that may already carry another thread.
+type handle struct {
+	t        *thread
+	id       int64
+	name     string
+	detached bool
+	joined   atomic.Bool
+}
+
+func (h *handle) ID() int64 { return h.id }
+
+func (h *handle) Name() string {
+	if h.name != "" {
+		return h.name
+	}
+	return fmt.Sprintf("thread-%d", h.id)
+}
+
+// TLSGet and TLSSet exist to satisfy exec.Thread; thread-local storage
+// is only reachable through the thread's own T, never a handle.
+func (h *handle) TLSGet(key any) any  { panic("native: TLS through a thread handle") }
+func (h *handle) TLSSet(key, val any) { panic("native: TLS through a thread handle") }
+
+// fork creates and schedules a child of t. A nil h marks an internal
+// dummy thread; otherwise h is filled in before the child can run (a
+// detached child may exit and have its record recycled before fork
+// returns).
+func (b *Backend) fork(t *thread, attr core.Attr, fn func(exec.Thread), h *handle) {
 	child := b.newThread(t.pid, attr, fn)
-	child.isDummy = dummy
+	child.isDummy = h == nil
+	if h != nil {
+		h.t, h.id = child, child.id
+	}
 	// DePa order maintenance: the label assignment is the whole point of
 	// the scheme — it happens here on the parent's goroutine, before the
 	// scheduler lock, with zero shared state. The policy reads the label
 	// under b.mu, which orders the write ahead of every use.
 	child.tok.Order = t.tok.Order.Fork()
-	b.chargeStack(child, t.pid)
+	b.chargeStack(child)
 	b.tracer.record(t.pid, child.id, trace.KindCreate, t.id)
 	b.tracer.record(t.pid, child.id, trace.KindStackAlloc, child.stackSize)
 	b.lock()
@@ -51,7 +89,7 @@ func (b *Backend) fork(t *thread, attr core.Attr, fn func(exec.Thread), dummy bo
 		b.mu.Unlock()
 		b.shards.push(t, pid)
 		t.yieldParkEmit(yieldMsg{next: child}, at, pid, trace.KindPreempt)
-		return child
+		return
 	}
 	if b.policy.OnCreate(t.tok, child.tok) {
 		// Parent preempted; this worker executes the child now.
@@ -67,14 +105,13 @@ func (b *Backend) fork(t *thread, attr core.Attr, fn func(exec.Thread), dummy bo
 		// worker takes it from the yield message; the parent's preempt is
 		// emitted in the handoff's shadow.
 		t.yieldParkEmit(yieldMsg{next: child}, at, pid, trace.KindPreempt)
-		return child
+		return
 	}
 	// The policy placed the child in its ready structure.
 	child.state = core.StateReady
 	b.noteReady(child)
 	b.cond.Signal()
 	b.mu.Unlock()
-	return child
 }
 
 // Join implements exec.Backend (POSIX single-joiner semantics).
@@ -83,7 +120,23 @@ func (b *Backend) Join(pt exec.Thread, ptarget exec.Thread) error {
 	if ptarget == nil {
 		return fmt.Errorf("native: join with nil thread")
 	}
-	target := nt(ptarget)
+	// A raw record (the root, or a handle from T.Self) names its thread
+	// only until that thread is joined; Fork handles stay valid.
+	target, ok := ptarget.(*thread)
+	if !ok {
+		h := ptarget.(*handle)
+		switch {
+		case h.t == t && h.id == t.id:
+			return fmt.Errorf("native: %s cannot join itself", t.Name())
+		case h.detached:
+			return fmt.Errorf("native: %s is detached", h.Name())
+		case !h.joined.CompareAndSwap(false, true):
+			return fmt.Errorf("native: %s already joined", h.Name())
+		}
+		// First join through this handle of a joinable thread: the
+		// record still holds its joiner reference, so it is this thread's.
+		target = h.t
+	}
 	b.lock()
 	switch {
 	case target == t:
@@ -121,11 +174,9 @@ func (b *Backend) Join(pt exec.Thread, ptarget exec.Thread) error {
 		t.span = target.exitedSpan
 	}
 	b.tracer.record(t.pid, t.id, trace.KindJoin, target.id)
-	if b.pool != nil {
-		// Joiner's last read of the record is above; drop its lifecycle
-		// reference so the exiter (or this release) can recycle it.
-		b.releaseThread(target)
-	}
+	// Joiner's last read of the record is above; drop its lifecycle
+	// reference so the exiter (or this release) can recycle it.
+	b.releaseThread(target)
 	return nil
 }
 
@@ -171,18 +222,7 @@ func (b *Backend) Malloc(pt exec.Thread, n int64) core.Alloc {
 	if d := b.policy.AllocDummies(n); d > 0 {
 		b.forkDummies(t, d)
 	}
-	var addr int64
-	if b.cells != nil {
-		// Tuned: bump the worker-private address range and accumulate the
-		// delta in the worker's cell (published at the flush threshold or
-		// the quota boundary below).
-		c := &b.cells[t.pid]
-		c.addr += n
-		addr = cellAddrBase(t.pid) + c.addr - n + 1<<12
-		b.cellAdd(t.pid, n, 0)
-	} else {
-		addr = b.mem.allocHeap(n)
-	}
+	addr := b.mem.allocHeap(n)
 	b.allocTally.Add(1)
 	b.tracer.record(t.pid, t.id, trace.KindAlloc, n)
 	b.sampleSpace()
@@ -190,12 +230,6 @@ func (b *Backend) Malloc(pt exec.Thread, n int64) core.Alloc {
 	if b.quota > 0 {
 		t.quotaLeft -= n
 		if t.quotaLeft <= 0 {
-			if b.cells != nil {
-				// Quota-check boundary: publish this worker's pending delta
-				// so the shared envelope the watchdog reads is no staler
-				// than one quota per other worker (< p·flushBytes total).
-				b.flushCell(&b.cells[t.pid])
-			}
 			b.quotaTally.Add(1)
 			b.tracer.record(t.pid, t.id, trace.KindQuotaExhausted, n)
 			b.preemptNow(t)
@@ -210,11 +244,7 @@ func (b *Backend) Free(pt exec.Thread, a core.Alloc) {
 		return
 	}
 	t := nt(pt)
-	if b.cells != nil {
-		b.cellAdd(t.pid, -a.Size, 0)
-	} else {
-		b.mem.freeHeap(a.Size)
-	}
+	b.mem.freeHeap(a.Size)
 	b.freeTally.Add(1)
 	b.tracer.record(t.pid, t.id, trace.KindFree, a.Size)
 	b.sampleSpace()
@@ -326,5 +356,5 @@ func (b *Backend) forkDummySubtree(t *thread, count int) {
 		if right > 0 {
 			b.forkDummySubtree(nt(dt), right)
 		}
-	}, true)
+	}, nil)
 }

@@ -50,136 +50,14 @@ func atomicMax(g *atomic.Int64, v int64) {
 	}
 }
 
-// memCell is one worker's unpublished footprint delta under the tuned
-// engine. Deltas accumulate here (single writer: the worker's current
-// thread) and batch-publish into the shared mem envelope only when
-// they reach the flush threshold or a quota-check boundary — turning a
-// contended shared-atomic RMW per allocation into a mostly-local
-// store. heap/stack are atomics only so the watchdog and live sampler
-// can read a bounded-staleness sum without the scheduler lock; they
-// are never RMW'd concurrently. addr is a worker-private bump
-// allocator (addresses are names); the struct is padded so neighboring
-// workers' cells do not share a cache line.
-type memCell struct {
-	heap  atomic.Int64
-	stack atomic.Int64
-	addr  int64
-	_     [64 - 24]byte
-}
-
-// tunedDefaultFlushBytes bounds a cell's unpublished delta when the
-// policy has no allocation quota.
-const tunedDefaultFlushBytes = 1 << 16
-
-// TunedFlushBytes is the tuned engine's per-cell flush threshold F for
-// a policy with allocation quota K: F = min(K, 64 KiB). F ≤ K means a
-// worker publishes at least once per quota window, so batching adds no
-// staleness beyond what the quota discipline already tolerates; the
-// 64 KiB cap keeps the worst case small against the space envelope.
-// Each worker's cell holds less than F unpublished bytes at any
-// instant, so any global read (watchdog, HWM) lags the true footprint
-// by < p·F — the bounded-staleness slack the envelope test asserts
-// against S1 + c·p·D.
-func TunedFlushBytes(quota int64) int64 {
-	if quota > 0 && quota < tunedDefaultFlushBytes {
-		return quota
-	}
-	return tunedDefaultFlushBytes
-}
-
-// cellAddrBase gives worker pid a disjoint address range for its bump
-// allocator (2^40 bytes each — names, not storage).
-func cellAddrBase(pid int) int64 { return int64(pid+1) << 40 }
-
-// cellAdd accumulates a footprint delta in worker pid's cell and
-// publishes the cell when its magnitude reaches the flush threshold.
-// Must run in thread context on worker pid (single writer per cell).
-func (b *Backend) cellAdd(pid int, heapD, stackD int64) {
-	c := &b.cells[pid]
-	h := c.heap.Load() + heapD
-	s := c.stack.Load() + stackD
-	if heapD != 0 {
-		c.heap.Store(h)
-	}
-	if stackD != 0 {
-		c.stack.Store(s)
-	}
-	if abs64(h)+abs64(s) >= b.flushBytes {
-		b.flushCell(c)
-	}
-}
-
-// flushCell publishes a cell's pending delta into the shared envelope
-// and lifts the high-water marks. Callers must be the cell's single
-// writer (its worker's thread context) or run after quiescence
-// (stats).
-func (b *Backend) flushCell(c *memCell) {
-	h := c.heap.Load()
-	s := c.stack.Load()
-	if h == 0 && s == 0 {
-		return
-	}
-	c.heap.Store(0)
-	c.stack.Store(0)
-	gh := b.mem.liveHeap.Add(h)
-	gs := b.mem.liveStack.Add(s)
-	atomicMax(&b.mem.heapHWM, gh)
-	atomicMax(&b.mem.stackHWM, gs)
-	atomicMax(&b.mem.totalHWM, gh+gs)
-}
-
-// flushCells publishes every cell; only safe at quiescence (no worker
-// is running a thread), where it makes the live totals exact.
-func (b *Backend) flushCells() {
-	for i := range b.cells {
-		b.flushCell(&b.cells[i])
-	}
-}
-
-// liveHeapNow and liveStackNow are the bounded-staleness live totals:
-// the published envelope plus every cell's unpublished delta. Without
-// cells (reference engine) they are exact.
-func (b *Backend) liveHeapNow() int64 {
-	n := b.mem.liveHeap.Load()
-	for i := range b.cells {
-		n += b.cells[i].heap.Load()
-	}
-	return n
-}
-
-func (b *Backend) liveStackNow() int64 {
-	n := b.mem.liveStack.Load()
-	for i := range b.cells {
-		n += b.cells[i].stack.Load()
-	}
-	return n
-}
-
-func abs64(v int64) int64 {
-	if v < 0 {
-		return -v
-	}
-	return v
-}
-
 // chargeStack accounts a new thread's stack and samples the profile.
-// pid is the accounting worker (-1 for the root thread, which charges
-// the shared envelope directly).
-func (b *Backend) chargeStack(t *thread, pid int) {
-	if b.cells != nil && pid >= 0 {
-		b.cellAdd(pid, 0, t.stackSize)
-	} else {
-		b.mem.allocStack(t.stackSize)
-	}
+func (b *Backend) chargeStack(t *thread) {
+	b.mem.allocStack(t.stackSize)
 	b.sampleSpace()
 }
 
 // freeStack releases a thread's stack at exit.
 func (b *Backend) freeStack(t *thread) {
-	if b.cells != nil && t.pid >= 0 {
-		b.cellAdd(t.pid, 0, -t.stackSize)
-	} else {
-		b.mem.freeStack(t.stackSize)
-	}
+	b.mem.freeStack(t.stackSize)
 	b.sampleSpace()
 }

@@ -3,12 +3,13 @@
 // to, as opposed to the deterministic virtual-time simulation in
 // internal/core.
 //
-// Each lightweight thread is a goroutine that is parked on a channel
-// whenever the scheduling policy has not assigned it a processor; p
-// worker goroutines (Config.Procs, default GOMAXPROCS) pull threads
-// from the shared policy structure and run exactly one at a time each,
-// so at most p lightweight threads make progress concurrently — the
-// same execution model as the paper's library on an 8-way SMP.
+// Each lightweight thread runs on a pooled goroutine that is parked on
+// a channel whenever the scheduling policy has not assigned it a
+// processor (pool.go has the lifecycle); p worker goroutines
+// (Config.Procs, default GOMAXPROCS) pull threads from the shared
+// policy structure and run exactly one at a time each, so at most p
+// lightweight threads make progress concurrently — the same execution
+// model as the paper's library on an 8-way SMP.
 //
 // The scheduling policies from internal/sched are reused unchanged:
 // every policy call happens under the backend's scheduler lock (b.mu),
@@ -35,7 +36,6 @@ package native
 import (
 	"fmt"
 	"runtime"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -95,11 +95,6 @@ type Config struct {
 	// background collector streams them into the recorder during the
 	// run, so long runs stop dropping events.
 	Obs obs.Options
-	// Engine selects the execution engine: "" or EngineReference (one
-	// goroutine + channel pair per thread, shared-atomic accounting) or
-	// EngineTuned (pooled loop goroutines, per-worker record arenas,
-	// batched per-worker accounting cells). Validated against Engines().
-	Engine string
 }
 
 // Backend is one native run. It is single-shot: build one per Execute.
@@ -134,7 +129,6 @@ type Backend struct {
 	live      int
 	peakLive  int
 	created   int64
-	nextID    int64
 	maxSpan   vtime.Duration
 	err       error
 	done      bool
@@ -145,14 +139,11 @@ type Backend struct {
 
 	mem mem // atomic footprint accounting
 
-	// Tuned-engine state (all nil/zero under the reference engine; see
-	// engine.go and mem.go). nextIDA replaces the b.mu-guarded nextID so
-	// a tuned fork takes the scheduler lock once, not twice.
-	engine     string
-	pool       *enginePool
-	cells      []memCell
-	flushBytes int64
-	nextIDA    atomic.Int64
+	// pool holds the thread lifecycle's loops and record arenas
+	// (pool.go). nextIDA hands out thread ids without the scheduler
+	// lock, so a fork takes b.mu once.
+	pool    *threadPool
+	nextIDA atomic.Int64
 
 	// Atomic tallies flushed into the metrics registry at stats time
 	// (these fire in thread context without the scheduler lock).
@@ -183,7 +174,7 @@ type Backend struct {
 
 	workers []*worker
 	wg      sync.WaitGroup // workers
-	twg     sync.WaitGroup // launched thread goroutines
+	twg     sync.WaitGroup // loop goroutines
 }
 
 // worker is one processor's local state. qout is only appended/popped
@@ -214,33 +205,19 @@ func New(cfg Config) (*Backend, error) {
 		// a private one (its snapshot still lands in Stats.Metrics).
 		reg = metrics.NewRegistry()
 	}
-	engine := cfg.Engine
-	switch engine {
-	case "":
-		engine = EngineReference
-	case EngineReference, EngineTuned:
-	default:
-		return nil, fmt.Errorf("native: unknown Engine %q (valid: %s)",
-			cfg.Engine, strings.Join(Engines(), ", "))
-	}
 	b := &Backend{
 		procs:        procs,
 		policy:       cfg.Policy,
 		quota:        cfg.Policy.Quota(),
 		timeSlice:    cfg.Policy.TimeSlice(),
 		defaultStack: stack,
-		engine:       engine,
 		byTok:        make(map[*core.Thread]*thread),
 		spaceProf:    cfg.SpaceProf,
 		registry:     reg,
 		liveGauge:    reg.Gauge("threads.live"),
 		workers:      make([]*worker, procs),
 	}
-	if engine == EngineTuned {
-		b.pool = newEnginePool(b, procs)
-		b.cells = make([]memCell, procs)
-		b.flushBytes = TunedFlushBytes(b.quota)
-	}
+	b.pool = newThreadPool(b, procs)
 	b.cond = sync.NewCond(&b.mu)
 	b.tracer = newTracer(cfg.Tracer, procs, cfg.Obs.Enabled())
 	b.traceRec = cfg.Tracer
@@ -290,8 +267,8 @@ func (b *Backend) liveState() obs.LiveState {
 		Live:       b.liveGauge.Value(),
 		Ready:      b.readyGauge.Value(),
 		Running:    b.runningGauge.Value(),
-		HeapBytes:  b.liveHeapNow(),
-		StackBytes: b.liveStackNow(),
+		HeapBytes:  b.mem.liveHeap.Load(),
+		StackBytes: b.mem.liveStack.Load(),
 		Dispatches: b.dispatchTally.Load(),
 		Workers:    ws,
 	}
@@ -299,9 +276,6 @@ func (b *Backend) liveState() obs.LiveState {
 
 // Name implements exec.Backend.
 func (b *Backend) Name() string { return "native" }
-
-// Engine reports the active execution engine id (exec.Engined).
-func (b *Backend) Engine() string { return b.engine }
 
 // Execute implements exec.Backend: it runs main as the root thread on
 // b.procs workers and blocks until the run completes.
@@ -328,7 +302,7 @@ func (b *Backend) Execute(main func(exec.Thread)) (core.Stats, error) {
 
 	root := b.newThread(-1, core.Attr{Name: "main"}, main)
 	root.tok.Order = core.RootDepaLabel()
-	b.chargeStack(root, -1)
+	b.chargeStack(root)
 	b.tracer.record(-1, root.id, trace.KindCreate, 0) // Arg 0: no parent
 	b.tracer.record(-1, root.id, trace.KindStackAlloc, root.stackSize)
 	b.mu.Lock()
@@ -421,8 +395,8 @@ func (b *Backend) noteReady(t *thread) {
 }
 
 // resumeThread hands the processor to t until t's next handoff. The
-// thread goroutine is launched lazily on first dispatch, exactly when
-// it first runs. Every resumeThread call follows exactly one
+// thread adopts a pooled loop lazily on first dispatch, exactly when it
+// first runs. Every resumeThread call follows exactly one
 // markRunning for t, so the KindDispatch record is issued here — after
 // the handoff, with markRunning's under-lock timestamp, while t is
 // already running on its own goroutine. The capture happens before the
@@ -435,31 +409,25 @@ func (b *Backend) resumeThread(t *thread) yieldMsg {
 	b.mu.Unlock()
 	at, pid, id := t.dispatchAt, t.pid, t.id
 	if launch {
-		if b.pool != nil {
-			// Tuned launch: adopt a pooled loop as the thread's vehicle.
-			// The channel writes happen-before the resume send, and any
-			// later worker's access to t.resume is ordered behind this
-			// dispatch through the scheduler lock.
-			l := b.pool.getLoop(pid)
-			l.t = t
-			t.l = l
-			t.resume, t.yield = l.resume, l.yield
-			l.resume <- struct{}{}
-		} else {
-			b.twg.Add(1)
-			go t.main()
-		}
+		// Adopt a pooled loop as the thread's vehicle. The t.l write
+		// happens-before the resume send, and any later worker's access
+		// to t.l is ordered behind this dispatch through the scheduler
+		// lock.
+		l := b.pool.getLoop(pid)
+		l.t = t
+		t.l = l
+		l.resume <- struct{}{}
 	} else if b.handoff != nil {
 		// The resume channel is unbuffered: the send completes when the
 		// parked goroutine takes it, so this times the actual handoff.
 		t0 := time.Now()
-		t.resume <- struct{}{}
+		t.l.resume <- struct{}{}
 		b.handoff.Observe(time.Since(t0).Nanoseconds())
 	} else {
-		t.resume <- struct{}{}
+		t.l.resume <- struct{}{}
 	}
 	b.tracer.recordAt(at, pid, id, trace.KindDispatch, 0)
-	return <-t.yield
+	return <-t.l.yield
 }
 
 // next blocks until the policy assigns a thread to worker pid, the run
@@ -634,8 +602,8 @@ func (b *Backend) readyThread(t *thread, pid int) {
 		b.noteReady(t)
 	}
 	// Id snapshot: after the unlock (global path) or the shard push, t
-	// can be dispatched, run to exit, and (tuned engine) have its record
-	// recycled before the KindWake emit below.
+	// can be dispatched, run to exit, and have its record recycled
+	// before the KindWake emit below.
 	at, id := b.tracer.now(), t.id
 	if b.shards == nil {
 		b.cond.Signal()
@@ -705,8 +673,7 @@ func (b *Backend) exitThread(t *thread) {
 	if j != nil {
 		// Snapshot the joiner's trace id while b.mu still excludes its
 		// dispatch: once the wake is published the joiner can run, exit,
-		// and (tuned engine) have its record recycled before the KindWake
-		// emit below.
+		// and have its record recycled before the KindWake emit below.
 		jid = j.id
 		j.state = core.StateReady
 		if b.shards == nil {
@@ -729,7 +696,7 @@ func (b *Backend) exitThread(t *thread) {
 	// land in the handoff's shadow, concurrent with the worker's next
 	// dispatch. This goroutine still emits them before its twg.Done, so
 	// the run-end merge observes them.
-	t.yield <- yieldMsg{}
+	t.l.yield <- yieldMsg{}
 	b.tracer.recordAt(at, pid, t.id, trace.KindExit, 0)
 	if j != nil {
 		b.tracer.recordAt(at, pid, jid, trace.KindWake, 0)
@@ -737,9 +704,8 @@ func (b *Backend) exitThread(t *thread) {
 }
 
 // newThread builds a thread without admitting it. pid is the creating
-// worker (-1 for the root): under the tuned engine it selects the
-// record arena, and the channels stay nil until a pooled loop adopts
-// the thread at first dispatch.
+// worker (-1 for the root): it selects the record arena. The thread
+// has no goroutine until a pooled loop adopts it at first dispatch.
 func (b *Backend) newThread(pid int, attr core.Attr, fn func(exec.Thread)) *thread {
 	if attr.Priority < 0 || attr.Priority >= core.NumPriorities {
 		panic(fmt.Sprintf("native: priority %d out of range", attr.Priority))
@@ -748,37 +714,16 @@ func (b *Backend) newThread(pid int, attr core.Attr, fn func(exec.Thread)) *thre
 	if stack <= 0 {
 		stack = b.defaultStack
 	}
-	if b.pool != nil {
-		id := b.nextIDA.Add(1)
-		t := b.pool.getThread(pid)
-		if t == nil {
-			t = &thread{b: b, tok: &core.Thread{}}
-		}
-		t.id = id
-		t.tok.ID = id
-		t.tok.Priority = attr.Priority
-		t.attr = attr
-		t.fn = fn
-		t.detached = attr.Detached
-		t.stackSize = stack
-		t.refs.Store(threadRefs(attr.Detached))
-		return t
-	}
-	b.lock()
-	b.nextID++
-	id := b.nextID
-	b.mu.Unlock()
-	t := &thread{
-		b:         b,
-		id:        id,
-		tok:       &core.Thread{ID: id, Priority: attr.Priority},
-		attr:      attr,
-		fn:        fn,
-		detached:  attr.Detached,
-		stackSize: stack,
-		resume:    make(chan struct{}),
-		yield:     make(chan yieldMsg),
-	}
+	id := b.nextIDA.Add(1)
+	t := b.pool.getThread(pid)
+	t.id = id
+	t.tok.ID = id
+	t.tok.Priority = attr.Priority
+	t.attr = attr
+	t.fn = fn
+	t.detached = attr.Detached
+	t.stackSize = stack
+	t.refs.Store(threadRefs(attr.Detached))
 	return t
 }
 
@@ -801,60 +746,34 @@ func (b *Backend) failLocked(err error, status int64) {
 	b.cond.Broadcast()
 }
 
-// poisonParked unwinds every started, still-parked thread goroutine
-// after the workers have exited (no thread is running then: started
-// live threads are parked in, or arriving at, their resume receive).
-// Under the tuned engine the walk is over loops, not threads: every
-// loop goroutine — idle in a pool or carrying a parked thread — is
-// guaranteed to reach exactly one more resume receive, so one poison
-// poke each (the unbuffered send blocks until the loop takes it)
-// unwinds the whole fleet with no lost or doubled wakeups.
+// poisonParked unwinds every loop goroutine after the workers have
+// exited (no thread is running then). The walk is over loops, not
+// threads: every loop — idle in a pool or carrying a parked thread —
+// is guaranteed to reach exactly one more resume receive, so one
+// poison poke each (the unbuffered send blocks until the loop takes
+// it) unwinds the whole fleet with no lost or doubled wakeups.
 func (b *Backend) poisonParked() {
-	if b.pool != nil {
-		b.pool.mu.Lock()
-		all := b.pool.all
-		b.pool.mu.Unlock()
-		for _, l := range all {
-			l.poison = true
-			l.resume <- struct{}{}
-		}
-		return
-	}
-	b.mu.Lock()
-	var parked []*thread
-	for _, t := range b.byTok {
-		if t.started {
-			parked = append(parked, t)
-		}
-	}
-	b.mu.Unlock()
-	for _, t := range parked {
-		t.poison = true
-		t.resume <- struct{}{}
+	b.pool.mu.Lock()
+	all := b.pool.all
+	b.pool.mu.Unlock()
+	for _, l := range all {
+		l.poison = true
+		l.resume <- struct{}{}
 	}
 }
 
 // stats assembles the run's statistics after all goroutines quiesced.
 func (b *Backend) stats() core.Stats {
 	elapsed := wallToV(time.Since(b.start))
-	if b.cells != nil {
-		// Quiesced: publishing every cell makes the live totals exact and
-		// folds any unpublished peak contribution into the HWMs (the
-		// mid-run HWM may still understate a transient true peak by up to
-		// p·flushBytes — the documented staleness bound).
-		b.flushCells()
-	}
 	if r := b.registry; r != nil {
 		r.Counter("sched.dispatches").Add(b.dispatchTally.Load())
 		r.Counter("sched.quota.preempts").Add(b.quotaTally.Load())
 		r.Counter("sched.dummy.forks").Add(b.dummyTally.Load())
 		r.Counter("mem.allocs").Add(b.allocTally.Load())
 		r.Counter("mem.frees").Add(b.freeTally.Load())
-		if p := b.pool; p != nil {
-			r.Counter("engine.loops.created").Add(p.loopsCreated.Load())
-			r.Counter("engine.threads.recycled").Add(p.recycled.Load())
-			r.Counter("engine.threads.reused").Add(p.reused.Load())
-		}
+		r.Counter("pool.loops.created").Add(b.pool.loopsCreated.Load())
+		r.Counter("pool.threads.recycled").Add(b.pool.recycled.Load())
+		r.Counter("pool.threads.reused").Add(b.pool.reused.Load())
 	}
 	st := core.Stats{
 		Policy:         b.policy.Name(),
@@ -893,7 +812,7 @@ func (b *Backend) sampleSpace() {
 	b.mu.Unlock()
 	b.spMu.Lock()
 	sp.Sample(vtime.Time(wallToV(time.Since(b.start))),
-		b.liveHeapNow(), b.liveStackNow(), live)
+		b.mem.liveHeap.Load(), b.mem.liveStack.Load(), live)
 	b.spMu.Unlock()
 }
 

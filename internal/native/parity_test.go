@@ -16,48 +16,27 @@ import (
 	"spthreads/internal/fft"
 	"spthreads/internal/fmm"
 	"spthreads/internal/matmul"
-	"spthreads/internal/native"
 	"spthreads/internal/spmv"
 	"spthreads/internal/trace"
 	"spthreads/internal/volrend"
 	"spthreads/pthread"
 )
 
-// runBoth executes fn across the full backend/engine matrix — sim,
-// native-reference, and native-tuned — with the given policy, checks
-// every native engine against the sim checksum bit-for-bit, and
-// returns the sim and native-reference checksums (so callers keep
-// their original shape). The tuned engine rides every parity test: the
-// pooled lifecycle and batched accounting must be semantically
-// invisible.
+// runBoth executes fn on the sim and on the native backend with the
+// given policy and returns both checksums for a bit-for-bit comparison.
 func runBoth(t *testing.T, procs int, policy pthread.Policy, fn func(*pthread.T) float64) (sim, native float64) {
 	t.Helper()
-	runs := []struct {
-		label   string
-		backend pthread.Backend
-		engine  pthread.Engine
-	}{
-		{"sim", pthread.BackendSim, ""},
-		{"native-reference", pthread.BackendNative, pthread.EngineReference},
-		{"native-tuned", pthread.BackendNative, pthread.EngineTuned},
-	}
-	sums := make([]float64, len(runs))
-	for i, r := range runs {
-		var sum float64
+	var sums [2]float64
+	for i, backend := range []pthread.Backend{pthread.BackendSim, pthread.BackendNative} {
 		cfg := pthread.Config{
 			Procs:        procs,
 			Policy:       policy,
-			Backend:      r.backend,
-			Engine:       r.engine,
+			Backend:      backend,
 			DefaultStack: pthread.SmallStackSize,
 		}
-		if _, err := pthread.Run(cfg, func(pt *pthread.T) { sum = fn(pt) }); err != nil {
-			t.Fatalf("%s run: %v", r.label, err)
+		if _, err := pthread.Run(cfg, func(pt *pthread.T) { sums[i] = fn(pt) }); err != nil {
+			t.Fatalf("%s run: %v", backend, err)
 		}
-		sums[i] = sum
-	}
-	if sums[2] != sums[0] {
-		t.Errorf("native-tuned checksum %v != sim checksum %v", sums[2], sums[0])
 	}
 	return sums[0], sums[1]
 }
@@ -264,37 +243,23 @@ func TestNativeSpaceEnvelope(t *testing.T) {
 	c := math.Max(rep.C, 1) * 4
 	bound := rep.SerialSpace + int64(c*float64(procs)*rep.Depth.Microseconds())
 
-	for _, engine := range pthread.Engines() {
-		engine := engine
-		t.Run(string(engine), func(t *testing.T) {
-			natCfg := pthread.Config{
-				Procs:        procs,
-				Policy:       pthread.PolicyADF,
-				Backend:      pthread.BackendNative,
-				Engine:       engine,
-				DefaultStack: pthread.SmallStackSize,
-			}
-			natStats, err := pthread.Run(natCfg, func(pt *pthread.T) { matmulChecksum(pt) })
-			if err != nil {
-				t.Fatalf("native run: %v", err)
-			}
-			// The tuned engine's per-worker cells publish at the flush
-			// threshold F, so its measured HWM can lag a transient true
-			// peak by up to p·F unpublished bytes. Asserting
-			// measured + p·F ≤ bound therefore bounds the TRUE peak by the
-			// envelope even under worst-case staleness; the reference
-			// engine's accounting is exact (slack 0).
-			var slack int64
-			if engine == pthread.EngineTuned {
-				slack = int64(procs) * native.TunedFlushBytes(pthread.DefaultMemQuota)
-			}
-			if natStats.TotalHWM+slack > bound {
-				t.Errorf("%s: native peak %d + staleness slack %d exceeds S1 + c·p·D = %d + %.0f·%d·%.0fus = %d",
-					engine, natStats.TotalHWM, slack, rep.SerialSpace, c, procs, rep.Depth.Microseconds(), bound)
-			}
-			if natStats.TotalHWM <= 0 {
-				t.Errorf("%s: native peak not recorded: %d", engine, natStats.TotalHWM)
-			}
-		})
+	natCfg := pthread.Config{
+		Procs:        procs,
+		Policy:       pthread.PolicyADF,
+		Backend:      pthread.BackendNative,
+		DefaultStack: pthread.SmallStackSize,
+	}
+	natStats, err := pthread.Run(natCfg, func(pt *pthread.T) { matmulChecksum(pt) })
+	if err != nil {
+		t.Fatalf("native run: %v", err)
+	}
+	// The native accounting is exact, so the measured peak is the true
+	// peak and must sit inside the envelope with no staleness slack.
+	if natStats.TotalHWM > bound {
+		t.Errorf("native peak %d exceeds S1 + c·p·D = %d + %.0f·%d·%.0fus = %d",
+			natStats.TotalHWM, rep.SerialSpace, c, procs, rep.Depth.Microseconds(), bound)
+	}
+	if natStats.TotalHWM <= 0 {
+		t.Errorf("native peak not recorded: %d", natStats.TotalHWM)
 	}
 }

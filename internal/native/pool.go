@@ -7,24 +7,13 @@ import (
 	"spthreads/internal/core"
 )
 
-// Execution engines for Config.Engine. The reference engine is the
-// PR-5 lifecycle — one fresh goroutine plus two fresh channels per
-// lightweight thread, shared-atomic footprint accounting — kept intact
-// as the semantic baseline. The tuned engine amortizes the native hot
-// paths without changing scheduling semantics: fork reuses a parked
-// loop goroutine (with its channel pair) from a per-worker pool,
-// thread records come from per-worker free-list arenas, and footprint
-// deltas batch in per-worker cells before publishing to the global
-// envelope (see mem.go).
-const (
-	EngineReference = "reference"
-	EngineTuned     = "tuned"
-)
-
-// Engines lists the selectable execution engine ids in stable order.
-// pthread validation and the CLI usage strings derive from this
-// registry so they cannot drift.
-func Engines() []string { return []string{EngineReference, EngineTuned} }
+// The native thread lifecycle (DESIGN §14). Fork never starts a
+// goroutine or allocates channels: a thread adopts a pooled loop — one
+// goroutine plus one resume/yield channel pair — at its first dispatch,
+// and its record comes from a per-worker free-list arena. Both are
+// recycled when the thread is done with them, so a fine-grained
+// program's goroutine fleet tracks its peak concurrency, not its
+// thread count.
 
 // loop is a pooled thread-execution vehicle: one goroutine plus one
 // resume/yield channel pair, reused across lightweight-thread
@@ -43,9 +32,8 @@ type loop struct {
 	// the loop is still unwinding the previous thread's exit path.
 	t *thread
 
-	// poison, like thread.poison, is set only after all workers exited;
-	// the shutdown resume poke makes the loop (or its parked thread)
-	// observe it and unwind.
+	// poison is set only after all workers exited; the shutdown resume
+	// poke makes the loop (or its parked thread) observe it and unwind.
 	poison bool
 
 	next *loop // free-list link, owned by the Treiber stack
@@ -68,9 +56,9 @@ func (l *loop) run() {
 	}
 }
 
-// runOne executes one thread to completion on the loop's goroutine,
-// mirroring thread.main's recover discipline. It reports whether the
-// run aborted (poison while the thread was parked mid-body).
+// runOne executes one thread to completion on the loop's goroutine. It
+// reports whether the run aborted (poison while the thread was parked
+// mid-body).
 func (l *loop) runOne(t *thread) (abort bool) {
 	defer func() {
 		r := recover()
@@ -86,10 +74,10 @@ func (l *loop) runOne(t *thread) (abort bool) {
 		// Republish the loop BEFORE the exit bookkeeping: exitThread's
 		// joiner wake and final yield send let workers fork again, and
 		// the loop must already be poppable then or those forks miss the
-		// pool and launch fresh goroutines. (The old recycle-after-return
-		// order lost the race on ~10% of fine-grained forks, and every
-		// missed loop parked forever with a grown stack the GC re-scanned
-		// each cycle.) A worker that pops the loop now blocks in its
+		// pool and launch fresh goroutines. (Recycling after the return
+		// lost that race on ~10% of fine-grained forks, and every missed
+		// loop parked forever with a grown stack the GC re-scanned each
+		// cycle.) A worker that pops the loop now blocks in its
 		// unbuffered launch send until this goroutine finishes the exit
 		// path and parks, so reuse stays serialized; the popper owns l.t
 		// from here on, which is why nothing below touches it.
@@ -167,10 +155,10 @@ func (f *recFree) pop() *thread {
 	}
 }
 
-// enginePool is the tuned engine's reuse state: per-worker loop pools,
+// threadPool is the lifecycle's reuse state: per-worker loop pools,
 // per-worker thread-record arenas, and the all-loops registry the
 // shutdown poison walk uses.
-type enginePool struct {
+type threadPool struct {
 	b     *Backend
 	loops []loopFree
 	recs  []recFree
@@ -183,8 +171,8 @@ type enginePool struct {
 	reused       atomic.Int64 // thread records served from an arena
 }
 
-func newEnginePool(b *Backend, procs int) *enginePool {
-	return &enginePool{
+func newThreadPool(b *Backend, procs int) *threadPool {
+	return &threadPool{
 		b:     b,
 		loops: make([]loopFree, procs),
 		recs:  make([]recFree, procs),
@@ -195,7 +183,7 @@ func newEnginePool(b *Backend, procs int) *enginePool {
 // pid, reusing a parked one when possible. A fresh loop's goroutine
 // starts parked at its first resume receive, so the caller's send is
 // uniform across both cases.
-func (p *enginePool) getLoop(pid int) *loop {
+func (p *threadPool) getLoop(pid int) *loop {
 	if l := p.loops[pid].pop(); l != nil {
 		return l
 	}
@@ -214,22 +202,21 @@ func (p *enginePool) getLoop(pid int) *loop {
 }
 
 // putLoop parks l into worker pid's free list.
-func (p *enginePool) putLoop(l *loop, pid int) {
+func (p *threadPool) putLoop(l *loop, pid int) {
 	p.loops[pid].push(l)
 }
 
-// getThread serves a recycled thread record from worker pid's arena,
-// or nil when the arena is empty (the caller allocates fresh). pid < 0
-// (the root thread, created before any worker exists) always allocates.
-func (p *enginePool) getThread(pid int) *thread {
-	if pid < 0 {
-		return nil
+// getThread serves a thread record from worker pid's arena, allocating
+// a fresh one when the arena is empty. pid < 0 (the root thread,
+// created before any worker exists) always allocates.
+func (p *threadPool) getThread(pid int) *thread {
+	if pid >= 0 {
+		if t := p.recs[pid].pop(); t != nil {
+			p.reused.Add(1)
+			return t
+		}
 	}
-	if t := p.recs[pid].pop(); t != nil {
-		p.reused.Add(1)
-		return t
-	}
-	return nil
+	return &thread{b: p.b, tok: &core.Thread{}}
 }
 
 // releaseThread drops one lifecycle reference on t and recycles the
@@ -240,7 +227,7 @@ func (p *enginePool) getThread(pid int) *thread {
 // exitedSpan/id reads for the joiner), so a recycled record can never
 // be observed through a stale pointer. Never-joined undetached records
 // keep their joiner reference forever and simply leak, exactly like
-// unjoined POSIX threads (and like the reference engine).
+// unjoined POSIX threads.
 func (b *Backend) releaseThread(t *thread) {
 	if t.refs.Add(-1) != 0 {
 		return
@@ -264,7 +251,7 @@ func threadRefs(detached bool) int32 {
 
 // reset scrubs a thread record before it re-enters an arena: every
 // field except the backend pointer and the policy-token allocation is
-// zeroed (TLS map, DePa label, channels, join state, trace identity,
+// zeroed (TLS map, DePa label, loop, join state, trace identity,
 // shard-heap slot — pool-reuse hygiene is by construction, not by
 // field-by-field cleanup).
 func (t *thread) reset() {

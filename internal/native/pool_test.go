@@ -1,7 +1,7 @@
 package native
 
-// White-box tests for the tuned engine: pooled loop lifecycles,
-// per-worker thread-record arenas, and pool-reuse hygiene. These run
+// White-box tests for the thread lifecycle: pooled loops, per-worker
+// thread-record arenas, and pool-reuse hygiene. These run
 // in-package so they can inspect recycled records and pool counters
 // directly; the semantic (black-box) oracle is parity_test.go.
 
@@ -16,7 +16,7 @@ import (
 )
 
 // newTestBackend builds a native backend directly on an ADF policy.
-func newTestBackend(t *testing.T, engine string, procs int) *Backend {
+func newTestBackend(t *testing.T, procs int) *Backend {
 	t.Helper()
 	pol, err := sched.New(sched.ADF, sched.Options{Procs: procs})
 	if err != nil {
@@ -25,7 +25,6 @@ func newTestBackend(t *testing.T, engine string, procs int) *Backend {
 	b, err := New(Config{
 		Procs:        procs,
 		Policy:       pol,
-		Engine:       engine,
 		DefaultStack: core.SmallStackSize,
 	})
 	if err != nil {
@@ -34,57 +33,20 @@ func newTestBackend(t *testing.T, engine string, procs int) *Backend {
 	return b
 }
 
-func TestEngineRegistry(t *testing.T) {
-	want := []string{EngineReference, EngineTuned}
-	got := Engines()
-	if len(got) != len(want) {
-		t.Fatalf("Engines() = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Engines()[%d] = %q, want %q", i, got[i], want[i])
-		}
-	}
-	pol, err := sched.New(sched.ADF, sched.Options{Procs: 1})
-	if err != nil {
-		t.Fatalf("sched.New: %v", err)
-	}
-	if _, err := New(Config{Policy: pol, Engine: "turbo"}); err == nil {
-		t.Fatalf("New accepted unknown engine %q", "turbo")
-	}
-	for _, id := range Engines() {
-		b, err := New(Config{Policy: pol, Engine: id})
-		if err != nil {
-			t.Fatalf("New rejected registry engine %q: %v", id, err)
-		}
-		if b.Engine() != id {
-			t.Fatalf("Engine() = %q, want %q", b.Engine(), id)
-		}
-	}
-	// The empty id resolves to the reference engine.
-	b, err := New(Config{Policy: pol})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	if b.Engine() != EngineReference {
-		t.Fatalf("default Engine() = %q, want %q", b.Engine(), EngineReference)
-	}
-}
-
-// TestTunedChurnHygiene is the pool-reuse hygiene oracle: 10^5 threads
-// forked and exited over 4 workers through the tuned arenas, with
+// TestChurnHygiene is the pool-reuse hygiene oracle: 10^5 threads
+// forked and exited over 4 workers through the record arenas, with
 // every recycled record inspected at entry for leaked prior state (TLS
 // slots, join state, accounting, shard-heap slot) and every trace id
 // checked unique. Run under -race this also exercises the Treiber
 // free-list publication ordering.
-func TestTunedChurnHygiene(t *testing.T) {
+func TestChurnHygiene(t *testing.T) {
 	const (
 		procs    = 4
 		churners = 8
 		total    = 100_000
 	)
 	per := total / churners
-	b := newTestBackend(t, EngineTuned, procs)
+	b := newTestBackend(t, procs)
 
 	type tlsKeyT struct{}
 	var tlsKey tlsKeyT
@@ -100,7 +62,7 @@ func TestTunedChurnHygiene(t *testing.T) {
 		// checked — they are b.mu-guarded and a racing parent Join may
 		// legitimately set them while the body runs.
 		if tt.tls != nil || tt.done || tt.exitedSpan != 0 || tt.work != 0 ||
-			tt.heapIdx != 0 || tt.heapPri != 0 || tt.poison || tt.isDummy {
+			tt.heapIdx != 0 || tt.heapPri != 0 || tt.isDummy {
 			dirty.Add(1)
 		}
 		if tt.l == nil || tt.l.t != tt {
@@ -162,30 +124,5 @@ func TestTunedChurnHygiene(t *testing.T) {
 	}
 	if lc := b.pool.loopsCreated.Load(); lc > total/10 {
 		t.Errorf("created %d loop goroutines for %d threads; pooling is not amortizing launches", lc, total)
-	}
-}
-
-// TestTunedReferenceUntouched pins the reference engine to its
-// original lifecycle: no pool is built and per-thread channels are
-// allocated at creation.
-func TestTunedReferenceUntouched(t *testing.T) {
-	b := newTestBackend(t, EngineReference, 2)
-	if b.pool != nil || b.cells != nil {
-		t.Fatalf("reference engine built tuned state: pool=%v cells=%v", b.pool, b.cells)
-	}
-	var sawChans atomic.Bool
-	_, err := b.Execute(func(root exec.Thread) {
-		child := b.Fork(root, core.Attr{}, func(et exec.Thread) {})
-		tt := child.(*thread)
-		sawChans.Store(tt.resume != nil && tt.yield != nil)
-		if err := b.Join(root, child); err != nil {
-			panic(err)
-		}
-	})
-	if err != nil {
-		t.Fatalf("Execute: %v", err)
-	}
-	if !sawChans.Load() {
-		t.Errorf("reference engine thread created without its own channels")
 	}
 }

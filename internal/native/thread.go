@@ -11,8 +11,9 @@ import (
 	"spthreads/internal/vtime"
 )
 
-// thread is one lightweight thread: a goroutine parked on an unbuffered
-// resume channel whenever it is not assigned a worker.
+// thread is one lightweight thread: from its first dispatch it runs on
+// a pooled loop goroutine, parked on the loop's unbuffered resume
+// channel whenever it is not assigned a worker.
 type thread struct {
 	b       *Backend
 	id      int64
@@ -23,16 +24,13 @@ type thread struct {
 
 	stackSize int64
 
-	resume  chan struct{} // worker -> thread
-	yield   chan yieldMsg // thread -> worker
-	started bool          // guarded by b.mu
-	poison  bool          // set only after all workers exited
+	started bool // guarded by b.mu
 
-	// Tuned-engine fields (see engine.go). l is the pooled loop whose
-	// goroutine and channels carry this thread's lifetime (nil under the
-	// reference engine); freeNext links the record in a worker arena;
-	// refs counts the lifecycle holders (exiter + joiner) that must
-	// release before the record can be recycled.
+	// Lifecycle fields (see pool.go). l is the pooled loop whose
+	// goroutine and channels carry this thread's lifetime, adopted at
+	// first dispatch; freeNext links the record in a worker arena; refs
+	// counts the lifecycle holders (exiter + joiner) that must release
+	// before the record can be recycled.
 	l        *loop
 	freeNext *thread
 	refs     atomic.Int32
@@ -116,32 +114,13 @@ func (t *thread) TLSSet(key, val any) {
 	t.tls[key] = val
 }
 
-// main is the thread goroutine body, launched at first dispatch.
-func (t *thread) main() {
-	defer t.b.twg.Done()
-	defer func() {
-		r := recover()
-		switch r.(type) {
-		case nil, threadExit:
-			// normal completion or pthread_exit unwind
-		case threadAbort:
-			// shutdown unwind: the workers are gone; no handoff
-			return
-		default:
-			t.b.recordPanic(t, r)
-		}
-		t.b.exitThread(t) // bookkeeping + the final yield send
-	}()
-	t.fn(t)
-}
-
 // yieldPark hands the worker msg and parks until redispatched. Must be
 // called on the thread's own goroutine, after all scheduler
 // bookkeeping for the handoff is done.
 func (t *thread) yieldPark(msg yieldMsg) {
-	t.yield <- msg
-	<-t.resume
-	if t.poison || (t.l != nil && t.l.poison) {
+	t.l.yield <- msg
+	<-t.l.resume
+	if t.l.poison {
 		panic(threadAbort{})
 	}
 }
@@ -153,10 +132,10 @@ func (t *thread) yieldPark(msg yieldMsg) {
 // allocate); the write still precedes this goroutine's park, and hence
 // the run-end merge.
 func (t *thread) yieldParkEmit(msg yieldMsg, at vtime.Time, pid int, kind trace.Kind) {
-	t.yield <- msg
+	t.l.yield <- msg
 	t.b.tracer.recordAt(at, pid, t.id, kind, 0)
-	<-t.resume
-	if t.poison || (t.l != nil && t.l.poison) {
+	<-t.l.resume
+	if t.l.poison {
 		panic(threadAbort{})
 	}
 }

@@ -112,28 +112,3 @@ func TestEmptyConfigDefaults(t *testing.T) {
 		t.Errorf("default policy = %q, want adf", st.Policy)
 	}
 }
-
-func TestRejectUnknownEngine(t *testing.T) {
-	cfg := pthread.Config{Backend: pthread.BackendNative, Engine: "turbo"}
-	mustReject(t, cfg, `unknown Engine "turbo" (valid: reference, tuned)`)
-}
-
-func TestRejectSimEngine(t *testing.T) {
-	// Any explicit engine — even the reference one — is a native-only
-	// knob; the rejection names the backend that accepts it.
-	cfg := pthread.Config{Engine: pthread.EngineTuned}
-	mustReject(t, cfg, "needs the native backend")
-	cfg = pthread.Config{Backend: pthread.BackendSim, Engine: pthread.EngineReference}
-	mustReject(t, cfg, "needs the native backend")
-}
-
-func TestEnginesRegistryDrivesValidation(t *testing.T) {
-	// Every id the registry lists must be accepted by Run — the usage
-	// strings and the validator share one source of truth.
-	for _, e := range pthread.Engines() {
-		cfg := pthread.Config{Backend: pthread.BackendNative, Procs: 2, Engine: e}
-		if _, err := pthread.Run(cfg, func(t *pthread.T) { t.Charge(100) }); err != nil {
-			t.Errorf("registry engine %q rejected: %v", e, err)
-		}
-	}
-}

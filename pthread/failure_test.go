@@ -26,40 +26,57 @@ func TestPanicPropagates(t *testing.T) {
 	}
 }
 
-// TestNoGoroutineLeaks: aborted runs (deadlock, panic) must unwind all
-// parked thread goroutines.
+// TestNoGoroutineLeaks: runs that end in deadlock, panic, or success
+// must unwind every goroutine they started — on the native backend
+// that is every worker and every pooled loop, idle or carrying a
+// parked thread.
 func TestNoGoroutineLeaks(t *testing.T) {
 	runtime.GC()
 	base := runtime.NumGoroutine()
 
-	for i := 0; i < 20; i++ {
-		// A run that deadlocks with several parked threads.
-		var a, b pthread.Mutex
-		bar := pthread.NewBarrier(2)
-		_, err := pthread.Run(pthread.Config{Procs: 2, Policy: pthread.PolicyADF}, func(tt *pthread.T) {
-			h1 := tt.Create(func(ct *pthread.T) {
-				a.Lock(ct)
-				bar.Wait(ct)
-				b.Lock(ct)
+	for _, backend := range pthread.Backends() {
+		cfg := pthread.Config{Procs: 2, Policy: pthread.PolicyADF, Backend: backend}
+		for i := 0; i < 20; i++ {
+			// A run that deadlocks with several parked threads.
+			var a, b pthread.Mutex
+			bar := pthread.NewBarrier(2)
+			_, err := pthread.Run(cfg, func(tt *pthread.T) {
+				h1 := tt.Create(func(ct *pthread.T) {
+					a.Lock(ct)
+					bar.Wait(ct)
+					b.Lock(ct)
+				})
+				h2 := tt.Create(func(ct *pthread.T) {
+					b.Lock(ct)
+					bar.Wait(ct)
+					a.Lock(ct)
+				})
+				tt.JoinAll(h1, h2)
 			})
-			h2 := tt.Create(func(ct *pthread.T) {
-				b.Lock(ct)
-				bar.Wait(ct)
-				a.Lock(ct)
+			if err == nil {
+				t.Fatalf("%s: expected deadlock", backend)
+			}
+			// And a run that panics with live siblings.
+			_, err = pthread.Run(cfg, func(tt *pthread.T) {
+				tt.Create(func(ct *pthread.T) { ct.Charge(1 << 30) })
+				h := tt.Create(func(ct *pthread.T) { panic("x") })
+				tt.MustJoin(h)
 			})
-			tt.JoinAll(h1, h2)
-		})
-		if err == nil {
-			t.Fatal("expected deadlock")
+			if err == nil {
+				t.Fatalf("%s: expected panic error", backend)
+			}
 		}
-		// And a run that panics with live siblings.
-		_, err = pthread.Run(pthread.Config{Procs: 2, Policy: pthread.PolicyADF}, func(tt *pthread.T) {
-			tt.Create(func(ct *pthread.T) { ct.Charge(1 << 30) })
-			h := tt.Create(func(ct *pthread.T) { panic("x") })
-			tt.MustJoin(h)
-		})
-		if err == nil {
-			t.Fatal("expected panic error")
+		// A clean fine-grained run: 10k threads forked, then joined.
+		clean := cfg
+		clean.DefaultStack = pthread.SmallStackSize
+		if _, err := pthread.Run(clean, func(tt *pthread.T) {
+			hs := make([]*pthread.Thread, 10_000)
+			for i := range hs {
+				hs[i] = tt.Create(func(*pthread.T) {})
+			}
+			tt.JoinAll(hs...)
+		}); err != nil {
+			t.Fatalf("%s: clean run: %v", backend, err)
 		}
 	}
 

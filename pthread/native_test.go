@@ -419,3 +419,76 @@ func TestNativeStats(t *testing.T) {
 		t.Errorf("got %d proc rows, want 2", len(st.Procs))
 	}
 }
+
+// TestNativeExactPeak: k threads held alive at once behind a barrier
+// must show up in the stack high-water mark exactly — the k children
+// plus the root, with no accounting lag hiding part of the peak.
+func TestNativeExactPeak(t *testing.T) {
+	const k = 16
+	bar := pthread.NewBarrier(k)
+	st := runNative(t, 4, func(mt *pthread.T) {
+		hs := make([]*pthread.Thread, k)
+		for i := range hs {
+			hs[i] = mt.Create(func(ct *pthread.T) { bar.Wait(ct) })
+		}
+		mt.JoinAll(hs...)
+	})
+	if want := int64(k+1) * pthread.SmallStackSize; st.StackHWM != want {
+		t.Errorf("StackHWM = %d, want exactly (k+1)·stack = %d", st.StackHWM, want)
+	}
+	if st.TotalHWM != st.StackHWM {
+		t.Errorf("TotalHWM = %d, want %d (no heap allocated)", st.TotalHWM, st.StackHWM)
+	}
+}
+
+// TestNativeHandleOutlivesRecord: thread records are recycled once
+// joined (or, if detached, once exited), but handles stay valid
+// references to the thread they were created for — the ID does not
+// change and a second join or a join of a detached thread still fails,
+// even after later threads have reused the records.
+func TestNativeHandleOutlivesRecord(t *testing.T) {
+	runNative(t, 2, func(mt *pthread.T) {
+		joined := mt.Create(func(*pthread.T) {})
+		joinedID := joined.ID()
+		mt.MustJoin(joined)
+		exited := pthread.NewSemaphore(0)
+		detached := mt.CreateAttr(pthread.Attr{Detached: true}, func(ct *pthread.T) { exited.Post(ct) })
+		detachedID := detached.ID()
+		exited.Wait(mt)
+		// Churn the arenas so both records are handed to new threads.
+		for i := 0; i < 64; i++ {
+			mt.Par(func(*pthread.T) {}, func(*pthread.T) {})
+		}
+		if joined.ID() != joinedID || detached.ID() != detachedID {
+			t.Errorf("handle IDs changed: %d->%d, %d->%d",
+				joinedID, joined.ID(), detachedID, detached.ID())
+		}
+		if err := mt.Join(joined); err == nil || !strings.Contains(err.Error(), "already joined") {
+			t.Errorf("second join: %v, want already joined", err)
+		}
+		if err := mt.Join(detached); err == nil || !strings.Contains(err.Error(), "detached") {
+			t.Errorf("join of detached thread: %v, want detached", err)
+		}
+		// Two threads racing to join one handle: exactly one succeeds.
+		release := pthread.NewSemaphore(0)
+		target := mt.Create(func(ct *pthread.T) { release.Wait(ct) })
+		var mu pthread.Mutex
+		var ok, failed int
+		racer := func(rt *pthread.T) {
+			err := rt.Join(target)
+			mu.Lock(rt)
+			if err == nil {
+				ok++
+			} else {
+				failed++
+			}
+			mu.Unlock(rt)
+		}
+		r1, r2 := mt.Create(racer), mt.Create(racer)
+		release.Post(mt)
+		mt.JoinAll(r1, r2)
+		if ok != 1 || failed != 1 {
+			t.Errorf("racing joins: %d succeeded, %d failed; want 1 and 1", ok, failed)
+		}
+	})
+}

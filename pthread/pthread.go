@@ -69,8 +69,9 @@ const (
 	// and dispatch order as PolicyADF at p=1, but the ready store (and on
 	// the native backend the scheduler lock) is split per worker, with
 	// steals restricted to threads within Config.StealWindow of the
-	// global leftmost-ready position. Selecting it is equivalent to
-	// setting Config.SchedShard with PolicyADF.
+	// global leftmost-ready position. It cannot be combined with the
+	// batched SchedModes: sharding removes the global serial point that
+	// batching only amortizes.
 	PolicyADFShard = sched.ADFShard
 	PolicyWS       = sched.WS
 	// PolicyDFD is a simplified DFDeques scheduler: the paper's
@@ -102,52 +103,6 @@ const (
 // Backends lists the selectable execution backends, for command-line
 // validation and enumeration.
 func Backends() []Backend { return []Backend{BackendSim, BackendNative} }
-
-// Engine names a native-backend execution engine (Config.Engine).
-type Engine string
-
-// Available native execution engines.
-const (
-	// EngineReference is the native backend's baseline lifecycle: one
-	// fresh goroutine plus two fresh channels per lightweight thread and
-	// shared-atomic footprint accounting (the default; an empty Engine
-	// selects it).
-	EngineReference Engine = Engine(native.EngineReference)
-	// EngineTuned amortizes the native hot paths without changing
-	// scheduling semantics: forks reuse pooled, parked loop goroutines
-	// (with their channel pairs), thread records come from per-worker
-	// free-list arenas, and footprint accounting batches in per-worker
-	// cache-line-padded cells that publish to the global envelope at
-	// quota-check boundaries (bounded-staleness reads for the watchdog
-	// and high-water marks).
-	EngineTuned Engine = Engine(native.EngineTuned)
-)
-
-// Engines lists the selectable native execution engines in a stable
-// order, for command-line validation and enumeration. The list is the
-// same registry the native backend validates against, so usage strings
-// cannot drift from what Run accepts.
-func Engines() []Engine {
-	ids := native.Engines()
-	out := make([]Engine, len(ids))
-	for i, id := range ids {
-		out[i] = Engine(id)
-	}
-	return out
-}
-
-// engineNames joins the engine registry for error messages.
-func engineNames() string {
-	ids := native.Engines()
-	s := ""
-	for i, id := range ids {
-		if i > 0 {
-			s += ", "
-		}
-		s += id
-	}
-	return s
-}
 
 // Stack size presets: the Solaris library default and the paper's
 // reduced one-page default.
@@ -197,12 +152,6 @@ type Config struct {
 	Policy Policy
 	// Backend selects the execution substrate (default BackendSim).
 	Backend Backend
-	// Engine selects the native backend's execution engine:
-	// EngineReference (default; an empty Engine selects it) or
-	// EngineTuned (pooled thread lifecycles, per-worker arenas and
-	// accounting cells — same scheduling semantics, lower per-thread
-	// cost). Native backend only; the accepted ids come from Engines().
-	Engine Engine
 	// MemQuota overrides ADF's allocation quota K in bytes.
 	MemQuota int64
 	// DisableDummies turns off ADF's dummy-thread throttling.
@@ -237,25 +186,17 @@ type Config struct {
 	// modes (default 8); SchedBatch = 1 degenerates to SchedDirect
 	// exactly.
 	SchedBatch int
-	// SchedShard selects the sharded scheduler: per-worker DePa-ordered
-	// ready heaps with bounded-deviation work stealing instead of the
-	// single global ready structure. It requires the ADF dispatch order
-	// (Policy empty, PolicyADF, or PolicyADFShard — the first two are
-	// upgraded to PolicyADFShard) and is mutually exclusive with the
-	// batched SchedModes: sharding removes the global serial point that
-	// batching only amortizes.
-	SchedShard bool
 	// StealWindow is the sharded scheduler's deviation bound K: a worker
 	// out of local work may steal a thread only if at most K ready
 	// threads precede it in the serial depth-first order. 0 selects the
 	// default (Procs); negative values are rejected; it requires
-	// SchedShard or PolicyADFShard.
+	// PolicyADFShard.
 	StealWindow int
 	// ShardStrict puts the sharded scheduler in its sequential-steal
 	// deterministic mode: every dispatch takes the globally leftmost
 	// ready thread under global-lock charging, making sim schedules
 	// bit-identical to PolicyADF at any proc count. A testing/debugging
-	// mode; it requires SchedShard or PolicyADFShard.
+	// mode; it requires PolicyADFShard.
 	ShardStrict bool
 	// Tracer, when non-nil, records scheduler events for later
 	// inspection (Gantt charts, per-thread summaries, pttrace exports,
@@ -321,28 +262,20 @@ func newBackend(cfg Config) (exec.Backend, error) {
 	if cfg.Policy == "" {
 		cfg.Policy = PolicyADF
 	}
-	if cfg.SchedShard {
-		switch cfg.Policy {
-		case PolicyADF, PolicyADFShard:
-			cfg.Policy = PolicyADFShard
-		default:
-			return nil, fmt.Errorf("pthread: SchedShard requires the ADF dispatch order (have policy %q); only adf/adf-shard keep the serial depth-first order the steal window is measured against", cfg.Policy)
-		}
-	}
 	sharded := cfg.Policy == PolicyADFShard
 	if !sharded {
 		if cfg.StealWindow != 0 {
-			return nil, fmt.Errorf("pthread: StealWindow requires the sharded scheduler (set SchedShard or Policy adf-shard; have policy %q)", cfg.Policy)
+			return nil, fmt.Errorf("pthread: StealWindow requires the sharded scheduler (set Policy adf-shard; have policy %q)", cfg.Policy)
 		}
 		if cfg.ShardStrict {
-			return nil, fmt.Errorf("pthread: ShardStrict requires the sharded scheduler (set SchedShard or Policy adf-shard; have policy %q)", cfg.Policy)
+			return nil, fmt.Errorf("pthread: ShardStrict requires the sharded scheduler (set Policy adf-shard; have policy %q)", cfg.Policy)
 		}
 	}
 	if cfg.StealWindow < 0 {
 		return nil, fmt.Errorf("pthread: negative StealWindow (%d)", cfg.StealWindow)
 	}
 	if sharded && cfg.SchedMode != core.SchedDirect {
-		return nil, fmt.Errorf("pthread: SchedShard and SchedMode %q are mutually exclusive: sharding removes the global scheduler lock the batched modes amortize", string(cfg.SchedMode))
+		return nil, fmt.Errorf("pthread: Policy adf-shard and SchedMode %q are mutually exclusive: sharding removes the global scheduler lock the batched modes amortize", string(cfg.SchedMode))
 	}
 	pol, err := sched.New(cfg.Policy, sched.Options{
 		MemQuota:       cfg.MemQuota,
@@ -366,18 +299,6 @@ func newBackend(cfg Config) (exec.Backend, error) {
 				string(cfg.SchedMode), cfg.Policy)
 		}
 	}
-	if cfg.Engine != "" {
-		valid := false
-		for _, e := range Engines() {
-			if cfg.Engine == e {
-				valid = true
-				break
-			}
-		}
-		if !valid {
-			return nil, fmt.Errorf("pthread: unknown Engine %q (valid: %s)", string(cfg.Engine), engineNames())
-		}
-	}
 	if cfg.SampleInterval < 0 {
 		return nil, fmt.Errorf("pthread: negative SampleInterval (%v)", cfg.SampleInterval)
 	}
@@ -399,9 +320,6 @@ func newBackend(cfg Config) (exec.Backend, error) {
 		}
 		if cfg.DebugAddr != "" {
 			return nil, fmt.Errorf("pthread: DebugAddr needs the native backend: the sim has no live run to serve; inspect Stats, Metrics, or the recorded trace instead")
-		}
-		if cfg.Engine != "" {
-			return nil, fmt.Errorf("pthread: Engine %q needs the native backend: the sim's virtual-time machine has a single deterministic execution engine; engines select goroutine/accounting strategies for real-machine runs", string(cfg.Engine))
 		}
 		ccfg := core.Config{
 			Procs:        cfg.Procs,
@@ -444,7 +362,6 @@ func newBackend(cfg Config) (exec.Backend, error) {
 			Metrics:      cfg.Metrics,
 			Tracer:       cfg.Tracer,
 			SpaceProf:    cfg.SpaceProf,
-			Engine:       string(cfg.Engine),
 			Obs: obs.Options{
 				SampleInterval: cfg.SampleInterval,
 				EnvelopeBytes:  cfg.SpaceEnvelope,

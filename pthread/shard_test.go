@@ -1,13 +1,12 @@
 package pthread_test
 
-// Machine-level oracles for the sharded scheduler (Config.SchedShard):
+// Machine-level oracles for the sharded scheduler (Policy adf-shard):
 // dispatch-identity against the global ADF policy where the design
 // promises it, the bounded-deviation steal property replayed from a
 // recorded trace, the config validation rules, and the steal-count
 // metric on both policies that steal.
 
 import (
-	"strings"
 	"testing"
 
 	"spthreads/internal/core"
@@ -156,25 +155,7 @@ func TestShardStealWithinWindowFromTrace(t *testing.T) {
 	}
 }
 
-// TestSchedShardUpgradesADF: SchedShard with the default (or explicit
-// ADF) policy selects adf-shard.
-func TestSchedShardUpgradesADF(t *testing.T) {
-	st, err := pthread.Run(pthread.Config{SchedShard: true, Procs: 2},
-		func(th *pthread.T) { th.Charge(100) })
-	if err != nil {
-		t.Fatalf("SchedShard rejected: %v", err)
-	}
-	if st.Policy != string(pthread.PolicyADFShard) {
-		t.Fatalf("policy = %q, want adf-shard", st.Policy)
-	}
-}
-
 // Config validation for the shard knobs, one test per rejection rule.
-
-func TestRejectSchedShardNonADF(t *testing.T) {
-	mustReject(t, pthread.Config{SchedShard: true, Policy: pthread.PolicyFIFO},
-		"SchedShard requires the ADF dispatch order")
-}
 
 func TestRejectStealWindowWithoutShard(t *testing.T) {
 	mustReject(t, pthread.Config{StealWindow: 4},
@@ -268,19 +249,5 @@ func TestShardNativeStrict(t *testing.T) {
 	}
 	if res != 144 {
 		t.Fatalf("fib(12) = %d, want 144", res)
-	}
-}
-
-// Guard against error-message drift in the upgrade path: SchedShard with
-// the explicit adf-shard policy is accepted, not doubly-upgraded.
-func TestSchedShardExplicitPolicy(t *testing.T) {
-	st, err := pthread.Run(pthread.Config{
-		SchedShard: true, Policy: pthread.PolicyADFShard, StealWindow: 3},
-		func(th *pthread.T) { th.Charge(100) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(st.Policy, "adf-shard") {
-		t.Fatalf("policy = %q", st.Policy)
 	}
 }
