@@ -8,11 +8,13 @@
 //	ptanalyze [-policy adf] [-procs N] [-quota BYTES] [-stack BYTES]
 //	          [-json] [-o report.json] trace.jsonl
 //
-// Exit status: 0 on success, 2 for usage errors and unusable traces
-// (empty or truncated), 1 for I/O failures.
+// Exit status: 0 on success, 2 for usage errors (negative -procs,
+// -quota or -stack included) and unusable traces (empty or truncated),
+// 1 for I/O failures (a report that cannot be fully written included).
 package main
 
 import (
+	"bufio"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -47,6 +49,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fs.Usage()
 		return 2
 	}
+	if *procs < 0 || *quota < 0 || *stack < 0 {
+		fmt.Fprintf(stderr, "ptanalyze: -procs, -quota and -stack must be >= 0 (got %d, %d, %d)\n\n", *procs, *quota, *stack)
+		fs.Usage()
+		return 2
+	}
 
 	f, err := os.Open(fs.Arg(0))
 	if err != nil {
@@ -73,25 +80,42 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	w := stdout
-	if *outPath != "" {
-		of, err := os.Create(*outPath)
-		if err != nil {
-			fmt.Fprintf(stderr, "ptanalyze: %v\n", err)
-			return 1
+	write := func(w io.Writer) error {
+		bw := bufio.NewWriter(w)
+		if *jsonOut {
+			enc := json.NewEncoder(bw)
+			enc.SetIndent("", "  ")
+			if err := enc.Encode(rep); err != nil {
+				return err
+			}
+		} else {
+			rep.WriteText(bw)
 		}
-		defer of.Close()
-		w = of
+		return bw.Flush()
 	}
-	if *jsonOut {
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(rep); err != nil {
-			fmt.Fprintf(stderr, "ptanalyze: %v\n", err)
-			return 1
-		}
-		return 0
+	if *outPath == "" {
+		err = write(stdout)
+	} else {
+		err = writeFile(*outPath, write)
 	}
-	rep.WriteText(w)
+	if err != nil {
+		fmt.Fprintf(stderr, "ptanalyze: %v\n", err)
+		return 1
+	}
 	return 0
+}
+
+// writeFile creates path and fills it with write, reporting the first
+// write or close error: a report that did not reach the disk is a
+// failure, not a silent success.
+func writeFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := write(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }

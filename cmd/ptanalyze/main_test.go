@@ -130,3 +130,50 @@ func TestUsageAndMissingFile(t *testing.T) {
 		t.Fatalf("run(missing) = %d, want 1", code)
 	}
 }
+
+// TestNegativeFlagsExit2: negative sizes and counts are usage errors,
+// not silently replaced by the inferred defaults.
+func TestNegativeFlagsExit2(t *testing.T) {
+	tr := writeTrace(t)
+	for _, tc := range []struct {
+		name string
+		args []string
+	}{
+		{"procs", []string{"-procs", "-3", tr}},
+		{"quota", []string{"-quota", "-1", tr}},
+		{"stack", []string{"-stack", "-8192", tr}},
+		{"procs json", []string{"-json", "-procs", "-1", tr}},
+	} {
+		var out, errb bytes.Buffer
+		if code := run(tc.args, &out, &errb); code != 2 {
+			t.Errorf("%s: run(%v) = %d, want 2", tc.name, tc.args, code)
+		}
+		if !strings.Contains(errb.String(), "must be >= 0") || !strings.Contains(errb.String(), "usage:") {
+			t.Errorf("%s: stderr missing diagnostic and usage: %s", tc.name, errb.String())
+		}
+		if out.Len() != 0 {
+			t.Errorf("%s: a rejected run printed a report:\n%s", tc.name, out.String())
+		}
+	}
+}
+
+// TestUnwritableOutputExits1: a report that cannot be written is an I/O
+// failure in both output modes.
+func TestUnwritableOutputExits1(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("/dev/full not available")
+	}
+	tr := writeTrace(t)
+	for _, args := range [][]string{
+		{"-o", "/dev/full", tr},
+		{"-json", "-o", "/dev/full", tr},
+	} {
+		var out, errb bytes.Buffer
+		if code := run(args, &out, &errb); code != 1 {
+			t.Errorf("run(%v) = %d, want 1\nstderr: %s", args, code, errb.String())
+		}
+		if !strings.Contains(errb.String(), "ptanalyze:") {
+			t.Errorf("run(%v) stderr missing diagnostic: %s", args, errb.String())
+		}
+	}
+}

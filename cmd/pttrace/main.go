@@ -4,10 +4,11 @@
 // breadth-first FIFO queue and the depth-first space-efficient
 // scheduler. It can also export the run for interactive inspection:
 // Chrome trace-event JSON (load in https://ui.perfetto.dev or
-// chrome://tracing), a JSONL event stream, and the space-over-time
-// profile as CSV. With -analyze it reconstructs the run DAG and
-// reports W, D, W/D, S₁, and the attributed critical path; with -in it
-// skips the run and works from a previously recorded JSONL trace.
+// chrome://tracing), a JSONL event stream, the space-over-time profile
+// as CSV, and the run DAG as Graphviz DOT. With -analyze it
+// reconstructs the run DAG and reports W, D, W/D, S₁, and the
+// attributed critical path; with -in it skips the run and works from a
+// previously recorded JSONL trace.
 //
 //	pttrace [-policy adf|adf-treap|adf-shard|fifo|lifo|ws|dfd|rr] [-backend sim|native]
 //	        [-procs 4] [-depth 5] [-width 100]
@@ -17,8 +18,8 @@
 //
 // With -backend native the same program runs on real goroutines: the
 // trace records wall-clock nanoseconds (the JSONL header and every
-// export carry the unit), and -dot is unavailable — the DAG recorder is
-// sim-only; analyze the recorded trace instead.
+// export carry the unit). -analyze and -dot work from the recorded
+// trace, so they behave the same on either backend and with -in.
 //
 // With -follow, pttrace tails a streaming JSONL trace while the run
 // that produces it is still going: give it the live debug endpoint's
@@ -59,7 +60,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	outPath := fs.String("out", "", "write the run as Chrome trace-event JSON (Perfetto/chrome://tracing) to this file")
 	eventsPath := fs.String("events", "", "write the raw event stream as JSONL to this file")
 	spacePath := fs.String("space", "", "write the space-over-time profile as CSV to this file")
-	dotPath := fs.String("dot", "", "also write the computation DAG as Graphviz DOT to this file")
+	dotPath := fs.String("dot", "", "write the run DAG, reconstructed from the trace, as Graphviz DOT to this file")
 	doAnalyze := fs.Bool("analyze", false, "reconstruct the run DAG and report W, D, W/D, S1, and the critical path")
 	inPath := fs.String("in", "", "analyze/render a recorded JSONL trace instead of running a program")
 	followSrc := fs.String("follow", "", "tail a streaming JSONL trace until its run-end: an http(s):// URL (a live debug endpoint's /trace?follow=1) or the path of a growing file")
@@ -84,13 +85,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	if *inPath != "" {
 		// Offline mode: everything must come from the trace file. The
-		// space profile and the DAG builder only exist on live runs.
-		if *spacePath != "" || *dotPath != "" {
-			fmt.Fprintln(stderr, "pttrace: -space and -dot need a live run and cannot be combined with -in")
+		// space profile only exists on live runs.
+		if *spacePath != "" {
+			fmt.Fprintln(stderr, "pttrace: -space needs a live run and cannot be combined with -in")
 			fs.Usage()
 			return 2
 		}
-		return runOffline(*inPath, *procs, *width, *outPath, *eventsPath, *doAnalyze, stdout, stderr, fs.Usage)
+		return runOffline(*inPath, *procs, *width, *outPath, *eventsPath, *dotPath, *doAnalyze, stdout, stderr, fs.Usage)
 	}
 
 	if !validPolicy(*policy) {
@@ -103,27 +104,22 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fs.Usage()
 		return 2
 	}
-	native := pthread.Backend(*backend) == pthread.BackendNative
-	if native && *dotPath != "" {
-		fmt.Fprintln(stderr, "pttrace: the DAG recorder is sim-only; on -backend native use -events and feed the trace to ptanalyze")
+	if *depth < 0 {
+		fmt.Fprintf(stderr, "pttrace: -depth must be >= 0, got %d\n\n", *depth)
 		fs.Usage()
 		return 2
 	}
+	native := pthread.Backend(*backend) == pthread.BackendNative
 
 	rec := pthread.NewTraceRecorder(1 << 20)
 	reg := pthread.NewMetrics()
 	prof := pthread.NewSpaceProfiler(0)
-	var g *pthread.DAGBuilder
-	if *dotPath != "" {
-		g = pthread.NewDAGBuilder()
-	}
 	cfg := pthread.Config{
 		Procs:        *procs,
 		Policy:       pthread.Policy(*policy),
 		Backend:      pthread.Backend(*backend),
 		DefaultStack: pthread.SmallStackSize,
 		Tracer:       rec,
-		DAG:          g,
 		Metrics:      reg,
 		SpaceProf:    prof,
 	}
@@ -149,17 +145,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 
+	// The machine's processor count, not the flag: -procs 0 selects the
+	// default of one.
+	nprocs := stats.NumProcs
 	fmt.Fprintf(stdout, "policy=%s backend=%s procs=%d: %d threads, peak live %d, time %v, heap HWM %d B\n\n",
-		*policy, *backend, *procs, stats.ThreadsCreated, stats.PeakLive, stats.Time, stats.HeapHWM)
-	if g != nil {
-		if err := os.WriteFile(*dotPath, []byte(g.DOT()), 0o644); err != nil {
-			fmt.Fprintf(stderr, "pttrace: %v\n", err)
-			return 1
-		}
-		fmt.Fprintf(stdout, "DAG: work %v, span %v, parallelism %.1f, S1 %d B -> %s\n\n",
-			g.TotalWork(), g.Span(), float64(g.TotalWork())/float64(g.Span()), g.SerialSpace(1), *dotPath)
-	}
-	fmt.Fprint(stdout, rec.Gantt(*procs, *width))
+		*policy, *backend, nprocs, stats.ThreadsCreated, stats.PeakLive, stats.Time, stats.HeapHWM)
+	fmt.Fprint(stdout, rec.Gantt(nprocs, *width))
 
 	fmt.Fprintln(stdout, "\nspace over virtual time:")
 	fmt.Fprint(stdout, prof.Curves(*width))
@@ -206,7 +197,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		rep, err := analyze.Analyze(rec, analyze.Options{
 			Policy:       *policy,
-			Procs:        *procs,
+			Procs:        nprocs,
 			Quota:        quota,
 			DefaultStack: pthread.SmallStackSize,
 			PeakHeap:     stats.HeapHWM,
@@ -223,7 +214,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	if *outPath != "" {
 		if err := writeFile(*outPath, func(f io.Writer) error {
-			return rec.WriteChrome(f, *procs, spaceCounters(prof, native))
+			return rec.WriteChrome(f, nprocs, spaceCounters(prof, native))
 		}); err != nil {
 			fmt.Fprintf(stderr, "pttrace: %v\n", err)
 			return 1
@@ -244,13 +235,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		fmt.Fprintf(stdout, "wrote space profile CSV -> %s\n", *spacePath)
 	}
-	return 0
+	return writeDOT(rec, *dotPath, stdout, stderr)
 }
 
 // runOffline serves -in: load a recorded trace and render/export/
 // analyze it. An empty or truncated trace is a usage error (exit 2) —
 // every downstream view would be silently wrong.
-func runOffline(inPath string, procs, width int, outPath, eventsPath string, doAnalyze bool, stdout, stderr io.Writer, usage func()) int {
+func runOffline(inPath string, procs, width int, outPath, eventsPath, dotPath string, doAnalyze bool, stdout, stderr io.Writer, usage func()) int {
 	f, err := os.Open(inPath)
 	if err != nil {
 		fmt.Fprintf(stderr, "pttrace: %v\n", err)
@@ -312,6 +303,20 @@ func runOffline(inPath string, procs, width int, outPath, eventsPath string, doA
 		}
 		fmt.Fprintf(stdout, "rewrote %d events as JSONL -> %s\n", len(rec.Events()), eventsPath)
 	}
+	return writeDOT(rec, dotPath, stdout, stderr)
+}
+
+// writeDOT serves -dot on live and offline runs alike: the DAG is
+// reconstructed from the recorded trace. An empty path writes nothing.
+func writeDOT(rec *trace.Recorder, path string, stdout, stderr io.Writer) int {
+	if path == "" {
+		return 0
+	}
+	if err := writeFile(path, func(f io.Writer) error { return analyze.WriteDOT(f, rec) }); err != nil {
+		fmt.Fprintf(stderr, "pttrace: %v\n", err)
+		return 1
+	}
+	fmt.Fprintf(stdout, "wrote run DAG as DOT -> %s\n", path)
 	return 0
 }
 

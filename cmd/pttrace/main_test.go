@@ -54,7 +54,7 @@ func TestOfflineTruncatedTraceExits2(t *testing.T) {
 	}
 }
 
-// TestOfflineRejectsLiveOnlyFlags: -space and -dot need a live run.
+// TestOfflineRejectsLiveOnlyFlags: -space needs a live run.
 func TestOfflineRejectsLiveOnlyFlags(t *testing.T) {
 	f := filepath.Join(t.TempDir(), "t.jsonl")
 	if err := os.WriteFile(f, []byte(`{"ts":0,"proc":0,"thread":1,"kind":"dispatch"}`+"\n"), 0o644); err != nil {
@@ -63,9 +63,6 @@ func TestOfflineRejectsLiveOnlyFlags(t *testing.T) {
 	var out, errb bytes.Buffer
 	if code := run([]string{"-in", f, "-space", "s.csv"}, &out, &errb); code != 2 {
 		t.Fatalf("-in -space = %d, want 2", code)
-	}
-	if code := run([]string{"-in", f, "-dot", "d.dot"}, &out, &errb); code != 2 {
-		t.Fatalf("-in -dot = %d, want 2", code)
 	}
 }
 
@@ -153,15 +150,76 @@ func TestNativeRoundTripWallUnits(t *testing.T) {
 	}
 }
 
-// TestNativeRejectsDot: the DAG recorder is sim-only and the error
-// must say what to do instead.
-func TestNativeRejectsDot(t *testing.T) {
-	var out, errb bytes.Buffer
-	if code := run([]string{"-backend", "native", "-dot", "d.dot"}, &out, &errb); code != 2 {
-		t.Fatalf("native -dot = %d, want 2", code)
+// TestDotFromTrace: -dot renders the DAG reconstructed from the trace,
+// so it works on a sim run, a native run, and a reloaded -in trace.
+func TestDotFromTrace(t *testing.T) {
+	dir := t.TempDir()
+	events := filepath.Join(dir, "events.jsonl")
+	for _, tc := range []struct {
+		name string
+		args []string
+	}{
+		{"sim", []string{"-depth", "2", "-width", "20", "-events", events}},
+		{"native", []string{"-backend", "native", "-procs", "2", "-depth", "2", "-width", "20"}},
+		{"offline", []string{"-in", events, "-width", "20"}}, // reloads the sim row's trace
+	} {
+		dot := filepath.Join(dir, tc.name+".dot")
+		var out, errb bytes.Buffer
+		if code := run(append(tc.args, "-dot", dot), &out, &errb); code != 0 {
+			t.Fatalf("%s: run = %d\nstderr: %s", tc.name, code, errb.String())
+		}
+		raw, err := os.ReadFile(dot)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		// Depth 2 is 7 threads: the root forks t2, whose join is the
+		// root's first dashed edge.
+		for _, frag := range []string{"digraph computation {", "t1 -> t2;", "t2 -> t1 [style=dashed];", "t7 [label="} {
+			if !strings.Contains(string(raw), frag) {
+				t.Errorf("%s: DOT missing %q:\n%s", tc.name, frag, raw)
+			}
+		}
+		if !strings.Contains(out.String(), "wrote run DAG as DOT -> "+dot) {
+			t.Errorf("%s: output missing the DOT line:\n%s", tc.name, out.String())
+		}
 	}
-	if !strings.Contains(errb.String(), "ptanalyze") {
-		t.Errorf("stderr missing the ptanalyze pointer: %s", errb.String())
+}
+
+// TestNegativeDepthExits2: a negative -depth would fork forever; it is
+// rejected before any run starts (no run header reaches stdout).
+func TestNegativeDepthExits2(t *testing.T) {
+	var out, errb bytes.Buffer
+	if code := run([]string{"-depth", "-1"}, &out, &errb); code != 2 {
+		t.Fatalf("run = %d, want 2", code)
+	}
+	if !strings.Contains(errb.String(), "-depth must be >= 0") || !strings.Contains(errb.String(), "usage:") {
+		t.Errorf("stderr missing diagnostic and usage: %s", errb.String())
+	}
+	if out.Len() != 0 {
+		t.Errorf("a run started:\n%s", out.String())
+	}
+}
+
+// TestProcsZeroRendersGantt: -procs 0 runs on the default single
+// processor, and the header, Gantt chart and Chrome export say so.
+func TestProcsZeroRendersGantt(t *testing.T) {
+	chromeOut := filepath.Join(t.TempDir(), "trace.json")
+	var out, errb bytes.Buffer
+	if code := run([]string{"-procs", "0", "-depth", "2", "-width", "20", "-out", chromeOut}, &out, &errb); code != 0 {
+		t.Fatalf("run = %d\nstderr: %s", code, errb.String())
+	}
+	if !strings.Contains(out.String(), "procs=1:") {
+		t.Errorf("header does not report the machine's 1 processor:\n%s", out.String())
+	}
+	if !strings.Contains(out.String(), "\np0 ") {
+		t.Errorf("Gantt chart has no p0 row:\n%s", out.String())
+	}
+	chrome, err := os.ReadFile(chromeOut)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(chrome), `"name":"proc 0"`) {
+		t.Errorf("Chrome export has no processor-0 track")
 	}
 }
 

@@ -8,7 +8,8 @@
 // the concrete critical path of the run and attributes its wall-clock
 // duration to categories — compute, ready-queue wait, lock contention,
 // quota preemption, dummy-thread throttling — and audits the measured
-// peak footprint against the paper's S₁ + c·p·D bound.
+// peak footprint against the paper's S₁ + c·p·D bound. WriteDOT
+// renders the same reconstructed DAG for Graphviz.
 //
 // The analyzer needs no access to the live machine: everything is
 // derived from trace.Event records. Fork edges come from KindCreate
@@ -425,8 +426,8 @@ func (r *threadRec) execBetween(a, b vtime.Time) vtime.Duration {
 // relDepth computes the thread's depth contribution relative to its
 // own creation: its execution, stretched by join dependencies — a join
 // cannot complete before the joined child's own (recursive) depth,
-// measured from the fork point, has elapsed. The recursion mirrors the
-// online dag.Builder but works purely from reconstructed events.
+// measured from the fork point, has elapsed. It works purely from
+// reconstructed events, so sim and native traces share it.
 func (a *analysis) relDepth(id int64) vtime.Duration {
 	if d, ok := a.depthMemo[id]; ok {
 		return d

@@ -34,9 +34,6 @@ func (m *Machine) Fork(t *Thread, attr Attr, fn func(*Thread)) *Thread {
 	if tr := m.cfg.Tracer; tr != nil {
 		tr.RecordArg(t.proc.clock, t.proc.id, child.ID, trace.KindCreate, t.ID)
 	}
-	if g := m.cfg.DAG; g != nil {
-		g.Fork(t.ID, child.ID)
-	}
 	m.admit(child)
 	m.chargeOps(t, m.cm.ThreadCreate)
 	addr, cost, fresh := m.mem.AllocStack(child.stackSize)
@@ -88,9 +85,6 @@ func (m *Machine) Join(t *Thread, target *Thread) error {
 	m.chargeOps(t, m.cm.ThreadJoin)
 	if tr := m.cfg.Tracer; tr != nil {
 		tr.RecordArg(t.proc.clock, t.proc.id, t.ID, trace.KindJoin, target.ID)
-	}
-	if g := m.cfg.DAG; g != nil {
-		g.Join(t.ID, target.ID)
 	}
 	if target.exitedSpan > t.span {
 		t.span = target.exitedSpan
@@ -144,9 +138,6 @@ func (m *Machine) Malloc(t *Thread, n int64) Alloc {
 	}
 	m.ins.allocs.Inc()
 	m.sampleSpace(t.proc.clock)
-	if g := m.cfg.DAG; g != nil {
-		g.Alloc(t.ID, n)
-	}
 	if m.policy.Quota() > 0 {
 		t.quotaLeft -= n
 		if t.quotaLeft <= 0 {
@@ -175,9 +166,6 @@ func (m *Machine) Free(t *Thread, a Alloc) {
 	}
 	m.ins.frees.Inc()
 	m.sampleSpace(t.proc.clock)
-	if g := m.cfg.DAG; g != nil {
-		g.Free(t.ID, a.Size)
-	}
 	t.maybePause()
 }
 

@@ -53,10 +53,6 @@ type Config struct {
 	// Tracer, when non-nil, records scheduler events (create, dispatch,
 	// preempt, block, wake, exit) without affecting virtual time.
 	Tracer *trace.Recorder
-	// DAG, when non-nil, records the computation graph (forks, joins,
-	// allocations, charges) for offline analysis; dag.Builder implements
-	// this interface.
-	DAG DAGSink
 	// Metrics, when non-nil, receives scheduler/memory instrument updates
 	// (dispatch latencies, lock waits, quota preemptions, ...); a final
 	// snapshot lands in Stats.Metrics. Nil costs the hot paths only a nil
@@ -89,17 +85,6 @@ const (
 	// flight.
 	SchedDedicated SchedMode = "dedicated"
 )
-
-// DAGSink receives computation-graph events. All calls arrive
-// serialized. It is satisfied by dag.Builder.
-type DAGSink interface {
-	Fork(parent, child int64)
-	Join(joiner, target int64)
-	Alloc(thread, bytes int64)
-	Free(thread, bytes int64)
-	Work(thread int64, d vtime.Duration)
-	Exit(thread int64)
-}
 
 // DefaultStackSize is the Solaris library's default thread stack size.
 const DefaultStackSize int64 = 1 << 20
@@ -814,9 +799,6 @@ func (m *Machine) handleExit(p *Proc, t *Thread) {
 	if tr := m.cfg.Tracer; tr != nil {
 		tr.Record(p.clock, p.id, t.ID, trace.KindExit)
 	}
-	if g := m.cfg.DAG; g != nil {
-		g.Exit(t.ID)
-	}
 	t.state = StateExited
 	t.done = true
 	t.exitedSpan = t.span
@@ -1072,9 +1054,6 @@ func (m *Machine) makespan() vtime.Time {
 // so idle time can be derived as makespan minus the bucket sum.
 
 func (m *Machine) chargeWork(t *Thread, d vtime.Duration) {
-	if g := m.cfg.DAG; g != nil {
-		g.Work(t.ID, d)
-	}
 	p := t.proc
 	p.stats.Work += d
 	m.tick(p, d)
@@ -1085,9 +1064,6 @@ func (m *Machine) chargeWork(t *Thread, d vtime.Duration) {
 }
 
 func (m *Machine) chargeOps(t *Thread, d vtime.Duration) {
-	if g := m.cfg.DAG; g != nil {
-		g.Work(t.ID, d)
-	}
 	p := t.proc
 	p.stats.ThreadOps += d
 	m.tick(p, d)
@@ -1098,9 +1074,6 @@ func (m *Machine) chargeOps(t *Thread, d vtime.Duration) {
 }
 
 func (m *Machine) chargeMem(t *Thread, d vtime.Duration) {
-	if g := m.cfg.DAG; g != nil {
-		g.Work(t.ID, d)
-	}
 	p := t.proc
 	p.stats.Mem += d
 	m.tick(p, d)

@@ -55,13 +55,6 @@ func TestBatchOfOneDegeneratesToDirect(t *testing.T) {
 	}
 }
 
-func TestRejectNativeDAG(t *testing.T) {
-	// The DAG recorder stays sim-only; the error must name the
-	// alternative (trace the run, analyze offline).
-	cfg := pthread.Config{Backend: pthread.BackendNative, DAG: pthread.NewDAGBuilder()}
-	mustReject(t, cfg, "run with Tracer and feed the trace to ptanalyze")
-}
-
 func TestRejectSimSampleInterval(t *testing.T) {
 	// Live introspection is native-only; each option gets its own rule
 	// naming the constraint and the post-mortem alternative.

@@ -40,7 +40,6 @@ import (
 	"time"
 
 	"spthreads/internal/core"
-	"spthreads/internal/dag"
 	"spthreads/internal/exec"
 	"spthreads/internal/metrics"
 	"spthreads/internal/native"
@@ -94,9 +93,9 @@ const (
 	BackendSim Backend = "sim"
 	// BackendNative runs lightweight threads as real goroutines on
 	// worker goroutines, with wall-clock timing. Runs are not
-	// deterministic; Tracer is supported (wall-ns timestamps via
-	// per-worker event rings), the DAG recorder is not — analyze the
-	// recorded trace with ptanalyze instead.
+	// deterministic; Tracer records wall-ns timestamps via per-worker
+	// event rings, and the recorded trace feeds the same run-DAG
+	// analysis (ptanalyze, pttrace -analyze and -dot) as a sim trace.
 	BackendNative Backend = "native"
 )
 
@@ -205,11 +204,6 @@ type Config struct {
 	// workers record into per-worker lock-free rings with wall-clock-ns
 	// timestamps, merged into the recorder (unit wall-ns) at run end.
 	Tracer *trace.Recorder
-	// DAG, when non-nil, records the computation graph for offline
-	// analysis (work, span, serial space S1, DOT export); attach a
-	// *dag.Builder from NewDAGBuilder. Sim backend only: on the native
-	// backend, run with Tracer and feed the trace to ptanalyze.
-	DAG *dag.Builder
 	// Metrics, when non-nil, collects scheduler/memory instruments
 	// (dispatch latencies, lock waits, quota preemptions, ADF
 	// placeholder-list length, ...); the final snapshot is returned in
@@ -321,7 +315,7 @@ func newBackend(cfg Config) (exec.Backend, error) {
 		if cfg.DebugAddr != "" {
 			return nil, fmt.Errorf("pthread: DebugAddr needs the native backend: the sim has no live run to serve; inspect Stats, Metrics, or the recorded trace instead")
 		}
-		ccfg := core.Config{
+		return exec.NewSim(core.Config{
 			Procs:        cfg.Procs,
 			Policy:       pol,
 			CostModel:    cfg.CostModel,
@@ -335,15 +329,8 @@ func newBackend(cfg Config) (exec.Backend, error) {
 			Tracer:       cfg.Tracer,
 			Metrics:      cfg.Metrics,
 			SpaceProf:    cfg.SpaceProf,
-		}
-		if cfg.DAG != nil {
-			ccfg.DAG = cfg.DAG
-		}
-		return exec.NewSim(ccfg)
+		})
 	case BackendNative:
-		if cfg.DAG != nil {
-			return nil, fmt.Errorf("pthread: the DAG recorder needs the deterministic sim backend; run with Tracer and feed the trace to ptanalyze")
-		}
 		batch := 0
 		if cfg.SchedMode == core.SchedVolunteer || cfg.SchedMode == core.SchedDedicated {
 			batch = cfg.SchedBatch

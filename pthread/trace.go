@@ -1,7 +1,6 @@
 package pthread
 
 import (
-	"spthreads/internal/dag"
 	"spthreads/internal/metrics"
 	"spthreads/internal/spaceprof"
 	"spthreads/internal/trace"
@@ -21,14 +20,6 @@ type TraceEvent = trace.Event
 func NewTraceRecorder(capacity int) *TraceRecorder {
 	return trace.NewRecorder(capacity)
 }
-
-// DAGBuilder records a run's computation graph when attached to
-// Config.DAG; see the dag package for its analyses (Work, Span,
-// SerialSpace, DOT).
-type DAGBuilder = dag.Builder
-
-// NewDAGBuilder creates an empty computation-graph recorder.
-func NewDAGBuilder() *DAGBuilder { return dag.NewBuilder() }
 
 // Metrics is a registry of named scheduler/memory instruments collected
 // when attached to Config.Metrics; its final snapshot is returned in
